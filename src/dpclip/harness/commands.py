@@ -125,23 +125,14 @@ def _sigma_sq_for(spec: ExperimentSpec, tau: float, n: int, dim: int) -> float:
     ).sigma_sq
 
 
-def _best_over_eta(
-    problem: Problem,
-    meta: dict,
-    spec: ExperimentSpec,
-    tau: float,
-    sigma_sq: float,
-    f_star: float | None,
-    epsilon_override: float | None = None,
-) -> tuple[float, float, float, list[tuple[float, float, int, float]]]:
-    """Run the eta grid x seeds at one clip norm; return the best eta's stats."""
-    higher_better = meta["metric"] == "accuracy"
-    cells = []
-    stats = []
-    for eta in spec.eta_grid:
-        values = []
-        for seed in spec.seeds:
-            config = DpSgdConfig(
+def _run_seeds(
+    problem: Problem, spec: ExperimentSpec, tau: float, eta: float, sigma_sq: float
+) -> list[np.ndarray]:
+    """One DP-SGD run from the origin per spec seed; returns the private iterates."""
+    return [
+        run_dp_sgd(
+            problem,
+            DpSgdConfig(
                 T=spec.iterations,
                 eta=eta,
                 tau=tau,
@@ -150,11 +141,30 @@ def _best_over_eta(
                 w0=np.zeros(problem.dim),
                 seed=seed,
                 domain=problem.domain,
-            )
-            result = run_dp_sgd(problem, config)
-            value = _metric_value(problem, meta, f_star, result.w_priv)
-            values.append(value)
-            cells.append((tau, eta, seed, value))
+            ),
+        ).w_priv
+        for seed in spec.seeds
+    ]
+
+
+def _best_over_eta(
+    problem: Problem,
+    meta: dict,
+    spec: ExperimentSpec,
+    tau: float,
+    sigma_sq: float,
+    f_star: float | None,
+) -> tuple[float, float, float, list[tuple[float, float, int, float]]]:
+    """Run the eta grid x seeds at one clip norm; return the best eta's stats."""
+    higher_better = meta["metric"] == "accuracy"
+    cells = []
+    stats = []
+    for eta in spec.eta_grid:
+        values = [
+            _metric_value(problem, meta, f_star, w)
+            for w in _run_seeds(problem, spec, tau, eta, sigma_sq)
+        ]
+        cells.extend((tau, eta, seed, v) for seed, v in zip(spec.seeds, values))
         arr = np.array(values)
         stats.append((eta, float(arr.mean()), float(arr.std())))
     key = (lambda s: s[1]) if higher_better else (lambda s: -s[1])
@@ -301,20 +311,10 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
             spec.iterations, tau, n, budget, problem.dim, expected_batch=spec.batch
         ).sigma_sq
         _, f_star = _reference(problem, spec)
-        risks = []
-        for seed in spec.seeds:
-            config = DpSgdConfig(
-                T=spec.iterations,
-                eta=eta,
-                tau=tau,
-                b=spec.batch,
-                sigma_sq=sigma_sq,
-                w0=np.zeros(problem.dim),
-                seed=seed,
-                domain=problem.domain,
-            )
-            result = run_dp_sgd(problem, config)
-            risks.append(problem.objective(result.w_priv) - f_star)
+        risks = [
+            problem.objective(w) - f_star
+            for w in _run_seeds(problem, spec, tau, eta, sigma_sq)
+        ]
         rows.append([n, phi, k, float(np.median(risks))])
     write_csv(spec.out, ["n", "phi", "k", "median_risk"], rows)
     print(f"phi-scaling: {len(rows)} dataset sizes -> {spec.out}")
@@ -416,19 +416,10 @@ def cmd_lower_bound_demo(spec: ExperimentSpec) -> list[list]:
     sigma_sq = noise_variance(
         spec.iterations, tau, spec.n, budget, d, expected_batch=spec.batch
     ).sigma_sq
-    rows = []
-    for seed in spec.seeds:
-        config = DpSgdConfig(
-            T=spec.iterations,
-            eta=eta,
-            tau=tau,
-            b=spec.batch,
-            sigma_sq=sigma_sq,
-            w0=np.zeros(d),
-            seed=seed,
-        )
-        result = run_dp_sgd(problem, config)
-        rows.append([seed, problem.objective(result.w_priv) - f_star, phi_scale, 0])
+    rows = [
+        [seed, problem.objective(w) - f_star, phi_scale, 0]
+        for seed, w in zip(spec.seeds, _run_seeds(problem, spec, tau, eta, sigma_sq))
+    ]
     write_csv(spec.out, ["seed", "risk", "phi_power_scale", "degenerate"], rows)
     print(
         f"lower-bound-demo: verified instance, {len(rows)} runs -> {spec.out} "

@@ -16,7 +16,6 @@ class LipschitzProfile:
     """Sorted per-sample Lipschitz constants of a problem."""
 
     g: np.ndarray  # ascending
-    source: Problem | None = None
 
     @property
     def n(self) -> int:
@@ -34,9 +33,9 @@ class LipschitzProfile:
 def build_profile(problem: Problem) -> LipschitzProfile:
     """Sort the per-sample constants ascending; ties keep index order."""
     g = np.asarray(problem.lipschitz, dtype=float)
-    if np.any(g <= 0):
-        raise ValueError("per-sample Lipschitz constants must be positive")
-    return LipschitzProfile(g=np.sort(g, kind="stable"), source=problem)
+    if not np.all(np.isfinite(g) & (g > 0)):
+        raise ValueError("per-sample Lipschitz constants must be finite and positive")
+    return LipschitzProfile(g=np.sort(g, kind="stable"))
 
 
 def percentile(profile: LipschitzProfile, q: float) -> float:

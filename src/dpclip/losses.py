@@ -35,6 +35,9 @@ class Dataset:
             raise ValueError("dataset must contain at least one sample")
         if np.any(self.labels < 0):
             raise ValueError("labels must be nonnegative integers")
+        bad = ~np.isfinite(self.features).all(axis=1)
+        if np.any(bad):
+            raise ValueError(f"non-finite feature in row {int(np.argmax(bad))}")
 
     @property
     def n(self) -> int:
@@ -91,39 +94,51 @@ def load_dataset_csv(path, append_bias: bool = False) -> Dataset:
 class Problem:
     """An ERM objective bundle: f(w) = (1/n) sum_i f_i(w).
 
+    The contract is batch-first: ``batch_loss(w, idx)`` returns the
+    per-sample losses f_i(w) for i in ``idx`` and ``batch_grad(w, idx)`` the
+    (len(idx), dim) matrix of their (sub)gradients. Every objective family
+    supplies exactly these two, and ``loss(w, i)``/``grad(w, i)`` are
+    one-row views of them. A problem given scalar ``loss``/``grad`` instead
+    is lifted to batch form once, at construction, by looping over indices.
+
     ``lipschitz[i]`` upper-bounds the per-sample (sub)gradient norm over the
-    domain; ``per_sample_min[i]``, when present, is min_w f_i(w). Optional
-    vectorised ``batch_loss``/``batch_grad`` take (w, indices) and evaluate
-    many samples at once; the scalar entry points remain authoritative.
+    domain; ``per_sample_min[i]``, when present, is min_w f_i(w).
     """
 
     n: int
     dim: int
-    loss: Callable[[np.ndarray, int], float]
-    grad: Callable[[np.ndarray, int], np.ndarray]
     lipschitz: np.ndarray
     per_sample_min: np.ndarray | None = None
     domain: object = field(default_factory=lambda: UNCONSTRAINED)
-    smoothness: float | None = None
     batch_loss: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     batch_grad: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    loss: Callable[[np.ndarray, int], float] | None = None
+    grad: Callable[[np.ndarray, int], np.ndarray] | None = None
 
-    def per_sample_lipschitz(self, i: int) -> float:
-        return float(self.lipschitz[i])
+    def __post_init__(self):
+        if self.batch_loss is None:
+            loss, grad, dim = self.loss, self.grad, self.dim
+
+            def batch_loss(w, idx):
+                return np.array([loss(w, int(i)) for i in idx], dtype=float)
+
+            def batch_grad(w, idx):
+                rows = [grad(w, int(i)) for i in idx]
+                return np.array(rows, dtype=float).reshape(len(idx), dim)
+
+            self.batch_loss, self.batch_grad = batch_loss, batch_grad
+        else:
+            batch_loss, batch_grad = self.batch_loss, self.batch_grad
+            self.loss = lambda w, i: float(batch_loss(w, np.array([i]))[0])
+            self.grad = lambda w, i: batch_grad(w, np.array([i]))[0]
 
     def losses_at(self, w: np.ndarray, indices: np.ndarray | None = None) -> np.ndarray:
-        idx = np.arange(self.n) if indices is None else np.asarray(indices)
-        if self.batch_loss is not None:
-            return self.batch_loss(w, idx)
-        return np.array([self.loss(w, int(i)) for i in idx])
+        idx = np.arange(self.n) if indices is None else np.asarray(indices, dtype=np.intp)
+        return self.batch_loss(w, idx)
 
     def grads_at(self, w: np.ndarray, indices: np.ndarray | None = None) -> np.ndarray:
-        idx = np.arange(self.n) if indices is None else np.asarray(indices)
-        if self.batch_grad is not None:
-            return self.batch_grad(w, idx)
-        if len(idx) == 0:
-            return np.zeros((0, self.dim))
-        return np.stack([self.grad(w, int(i)) for i in idx])
+        idx = np.arange(self.n) if indices is None else np.asarray(indices, dtype=np.intp)
+        return self.batch_grad(w, idx)
 
     def objective(self, w: np.ndarray) -> float:
         return float(self.losses_at(w).mean())
@@ -211,12 +226,6 @@ def logistic_problem(
         raise ValueError("labels exceed the declared number of classes")
     lipschitz = math.sqrt(2.0) * np.linalg.norm(X, axis=1)
 
-    def one_loss(w: np.ndarray, i: int) -> float:
-        return logistic_loss(w, X[i], int(y[i]))
-
-    def one_grad(w: np.ndarray, i: int) -> np.ndarray:
-        return logistic_grad(w, X[i], int(y[i]))
-
     def batch_loss(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
         logits = X[idx] @ w.reshape(m, d).T
         zmax = logits.max(axis=1, keepdims=True)
@@ -225,8 +234,6 @@ def logistic_problem(
         return lse - z[np.arange(len(idx)), y[idx]]
 
     def batch_grad(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        if len(idx) == 0:
-            return np.zeros((0, m * d))
         logits = X[idx] @ w.reshape(m, d).T
         z = np.exp(logits - logits.max(axis=1, keepdims=True))
         p = z / z.sum(axis=1, keepdims=True)
@@ -236,12 +243,9 @@ def logistic_problem(
     return Problem(
         n=n,
         dim=m * d,
-        loss=one_loss,
-        grad=one_grad,
         lipschitz=lipschitz,
         per_sample_min=np.zeros(n),
         domain=domain,
-        smoothness=0.5 * float(np.mean(np.sum(X * X, axis=1))),
         batch_loss=batch_loss,
         batch_grad=batch_grad,
     )
@@ -260,16 +264,6 @@ def geometric_median_problem(anchors: np.ndarray, domain=UNCONSTRAINED) -> Probl
     A = np.atleast_2d(np.asarray(anchors, dtype=float))
     n, d = A.shape
 
-    def one_loss(w: np.ndarray, i: int) -> float:
-        return float(np.linalg.norm(w - A[i]))
-
-    def one_grad(w: np.ndarray, i: int) -> np.ndarray:
-        delta = w - A[i]
-        norm = float(np.linalg.norm(delta))
-        if norm == 0.0:
-            return np.zeros(d)
-        return delta / norm
-
     def batch_loss(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return np.linalg.norm(w - A[idx], axis=1)
 
@@ -284,8 +278,6 @@ def geometric_median_problem(anchors: np.ndarray, domain=UNCONSTRAINED) -> Probl
     return Problem(
         n=n,
         dim=d,
-        loss=one_loss,
-        grad=one_grad,
         lipschitz=np.ones(n),
         per_sample_min=np.zeros(n),
         domain=domain,
@@ -380,12 +372,6 @@ def hard_instance_problem(xs: np.ndarray, domain=UNCONSTRAINED) -> Problem:
     n, d = X.shape
     norms = np.linalg.norm(X, axis=1)
 
-    def one_loss(w: np.ndarray, i: int) -> float:
-        return lower_bound_loss(w, X[i])[0]
-
-    def one_grad(w: np.ndarray, i: int) -> np.ndarray:
-        return lower_bound_loss(w, X[i])[1]
-
     def batch_loss(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
         hinge = max(float(np.linalg.norm(w)) - 1.0, 0.0)
         return -(X[idx] @ w) + 2.0 * norms[idx] * hinge
@@ -400,8 +386,6 @@ def hard_instance_problem(xs: np.ndarray, domain=UNCONSTRAINED) -> Problem:
     return Problem(
         n=n,
         dim=d,
-        loss=one_loss,
-        grad=one_grad,
         lipschitz=3.0 * norms,
         per_sample_min=-norms,
         domain=domain,

@@ -58,7 +58,6 @@ class RunResult:
     w_priv: np.ndarray
     selected_t: int
     trajectory_stats: dict[str, np.ndarray] | None = None
-    risk: float | None = None
 
 
 def poisson_sample(n: int, b: float, rng: np.random.Generator) -> np.ndarray:

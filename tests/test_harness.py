@@ -281,3 +281,21 @@ def test_cli_exit_codes(tmp_path):
         )
         == 3
     )
+
+
+@pytest.mark.parametrize(
+    "bad_row, cause",
+    [("nan,1.0,1", "non-finite feature in row 1"), ("1e308,1e308,1", "must be finite")],
+    ids=["nan-feature", "overflowing-norm"],
+)
+def test_cli_rejects_non_finite_input_before_running(tmp_path, capsys, bad_row, cause):
+    # a NaN feature, or a finite row whose Lipschitz constant overflows, fails
+    # at set-up with exit code 1 and writes no result
+    train = tmp_path / "train.csv"
+    train.write_text("0.5,-1.0,0\n" + bad_row + "\n2.0,0.25,1\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    args = ["sweep-clip", "--csv", str(train), "--batch", "2", "--out", str(out)]
+    for candidates in ("1.0", "p0,p100"):
+        assert main(args + ["--clip-candidates", candidates]) == 1
+        assert cause in capsys.readouterr().err
+        assert not out.exists()

@@ -60,6 +60,14 @@ def test_build_profile_single_and_errors():
         build_profile(prob)
 
 
+def test_build_profile_rejects_non_finite_constants():
+    prob = geometric_median_problem(np.zeros((3, 2)))
+    for bad in (np.inf, np.nan):
+        prob.lipschitz = np.array([1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            build_profile(prob)
+
+
 def test_profile_matches_feature_norms():
     rng = np.random.default_rng(31)
     ds = planted_logistic_dataset(50, 4, 3, rng, 0.5, 3.0).with_bias()

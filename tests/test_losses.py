@@ -7,6 +7,7 @@ import pytest
 
 from dpclip.losses import (
     Dataset,
+    Problem,
     QvSpec,
     geometric_median_problem,
     hard_instance_problem,
@@ -53,6 +54,14 @@ def test_dataset_validation_and_bias():
     assert with_bias.features[0, -1] == 1.0
     with pytest.raises(ValueError):
         with_bias.with_bias()
+
+
+def test_dataset_rejects_non_finite_features():
+    for bad in (math.nan, math.inf, -math.inf):
+        features = np.ones((4, 2))
+        features[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite feature in row 2"):
+            Dataset(features, np.zeros(4, dtype=int))
 
 
 def test_csv_loader_roundtrip(tmp_path):
@@ -173,18 +182,55 @@ def test_per_sample_lipschitz_logistic():
 
 
 def test_logistic_problem_batch_consistency():
+    # each family's batch functions against independent per-sample references;
+    # the last case builds a Problem from scalar functions only (lifted path)
     rng = np.random.default_rng(23)
     ds = planted_logistic_dataset(20, 3, 3, rng, 0.5, 2.0).with_bias()
-    prob = logistic_problem(ds, 3)
-    w = rng.normal(size=prob.dim)
-    idx = np.array([0, 5, 11])
-    batch_l = prob.losses_at(w, idx)
-    batch_g = prob.grads_at(w, idx)
-    for row, i in enumerate(idx):
-        assert batch_l[row] == pytest.approx(prob.loss(w, int(i)), rel=1e-12)
-        assert np.allclose(batch_g[row], prob.grad(w, int(i)), rtol=1e-12, atol=1e-14)
+    xs = rng.normal(size=(12, 4))
+    anchors = rng.normal(size=(12, 4))
+    anchors[[3, 7]] = 0.0  # kinks at w = 0, where the subgradient is 0
+
+    def median_loss(w, i):
+        return float(np.linalg.norm(w - anchors[i]))
+
+    def median_grad(w, i):
+        delta = w - anchors[i]
+        norm = np.linalg.norm(delta)
+        return delta / norm if norm > 0 else np.zeros_like(delta)
+
+    cases = [
+        (
+            logistic_problem(ds, 3),
+            lambda w, i: logistic_loss(w, ds.features[i], int(ds.labels[i])),
+            lambda w, i: logistic_grad(w, ds.features[i], int(ds.labels[i])),
+        ),
+        (
+            hard_instance_problem(xs),
+            lambda w, i: lower_bound_loss(w, xs[i])[0],
+            lambda w, i: lower_bound_loss(w, xs[i])[1],
+        ),
+        (geometric_median_problem(anchors), median_loss, median_grad),
+        (
+            Problem(n=12, dim=4, loss=median_loss, grad=median_grad, lipschitz=np.ones(12)),
+            median_loss,
+            median_grad,
+        ),
+    ]
+    idx = np.array([0, 3, 5, 7, 11])
+    for prob, ref_loss, ref_grad in cases:
+        for scale in (0.0, 1.0, 3.0):
+            w = scale * rng.normal(size=prob.dim)
+            batch_l = prob.losses_at(w, idx)
+            batch_g = prob.grads_at(w, idx)
+            for row, i in enumerate(idx):
+                assert batch_l[row] == pytest.approx(ref_loss(w, i), rel=1e-12, abs=1e-12)
+                assert np.allclose(batch_g[row], ref_grad(w, i), rtol=1e-12, atol=1e-14)
+                # the one-sample views agree with the batch rows
+                assert prob.loss(w, int(i)) == pytest.approx(batch_l[row], rel=1e-12, abs=1e-12)
+                assert np.allclose(prob.grad(w, int(i)), batch_g[row], rtol=1e-12, atol=1e-14)
+        assert prob.grads_at(np.zeros(prob.dim), []).shape == (0, prob.dim)
     assert np.allclose(
-        prob.lipschitz, math.sqrt(2.0) * np.linalg.norm(ds.features, axis=1)
+        cases[0][0].lipschitz, math.sqrt(2.0) * np.linalg.norm(ds.features, axis=1)
     )
 
 
