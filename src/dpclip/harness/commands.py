@@ -167,8 +167,12 @@ def _best_over_eta(
         cells.extend((tau, eta, seed, v) for seed, v in zip(spec.seeds, values))
         arr = np.array(values)
         stats.append((eta, float(arr.mean()), float(arr.std())))
+    # max keeps the first of equal means; NaN means never compare, so drop them
+    scored = [s for s in stats if not math.isnan(s[1])]
+    if not scored:
+        raise SpecValidationError(f"every eta gives a NaN mean metric at clip norm {tau!r}")
     key = (lambda s: s[1]) if higher_better else (lambda s: -s[1])
-    eta_best, mean_best, std_best = max(stats, key=key)
+    eta_best, mean_best, std_best = max(scored, key=key)
     return eta_best, mean_best, std_best, cells
 
 

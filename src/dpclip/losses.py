@@ -9,7 +9,10 @@ Subgradients at kinks return the minimal-norm element.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,34 +63,41 @@ class Dataset:
 
 
 def load_dataset_csv(path, append_bias: bool = False) -> Dataset:
-    """Load rows of d floats plus a trailing integer label; header optional."""
-    rows: list[list[str]] = []
+    """Load rows of d floats plus a trailing integer label; header optional.
+
+    Rows are parsed one at a time straight into flat float buffers, so the
+    file is never held as strings. With ``append_bias`` the constant-1
+    coordinate is written into the same buffer, after each row's features.
+    """
+    feats = array("d")
+    labels_f = array("d")
     with open(path, newline="", encoding="utf-8") as fh:
-        for record in csv.reader(fh):
-            if record:
-                rows.append(record)
-    if not rows:
-        raise ValueError(f"empty dataset file: {path}")
-    try:
-        [float(tok) for tok in rows[0]]
-    except ValueError:
-        rows = rows[1:]  # header row
-        if not rows:
-            raise ValueError(f"dataset file has a header but no rows: {path}")
-    width = len(rows[0])
-    if width < 2:
-        raise ValueError("rows must contain at least one feature and a label")
-    data = np.empty((len(rows), width))
-    for i, record in enumerate(rows):
-        if len(record) != width:
-            raise ValueError(f"row {i} has {len(record)} fields, expected {width}")
-        data[i] = [float(tok) for tok in record]
-    labels_f = data[:, -1]
-    labels = labels_f.astype(int)
-    if np.any(labels_f != labels):
+        records = (record for record in csv.reader(fh) if record)
+        first = next(records, None)
+        if first is None:
+            raise ValueError(f"empty dataset file: {path}")
+        try:
+            [float(tok) for tok in first]
+        except ValueError:
+            first = next(records, None)  # header row
+            if first is None:
+                raise ValueError(f"dataset file has a header but no rows: {path}")
+        width = len(first)
+        if width < 2:
+            raise ValueError("rows must contain at least one feature and a label")
+        for i, record in enumerate(itertools.chain([first], records)):
+            if len(record) != width:
+                raise ValueError(f"row {i} has {len(record)} fields, expected {width}")
+            feats.extend([float(tok) for tok in record])
+            labels_f.append(feats.pop())
+            if append_bias:
+                feats.append(1.0)
+    labels_arr = np.frombuffer(labels_f)
+    labels = labels_arr.astype(int)
+    if np.any(labels_arr != labels):
         raise ValueError("trailing column must hold integer labels")
-    ds = Dataset(data[:, :-1], labels)
-    return ds.with_bias() if append_bias else ds
+    features = np.frombuffer(feats).reshape(labels.size, width - 1 + append_bias)
+    return Dataset(features, labels, append_bias)
 
 
 @dataclass
@@ -103,6 +113,11 @@ class Problem:
 
     ``lipschitz[i]`` upper-bounds the per-sample (sub)gradient norm over the
     domain; ``per_sample_min[i]``, when present, is min_w f_i(w).
+
+    ``value_and_grad(w)`` returns ``(objective(w), full_gradient(w))`` in one
+    call; the reference oracle and record mode use it. A family may supply
+    ``full_value_and_grad(w)``, a fused full-data pass that must give exactly
+    these two values, bit for bit; without one the two are computed apart.
     """
 
     n: int
@@ -114,6 +129,7 @@ class Problem:
     batch_grad: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     loss: Callable[[np.ndarray, int], float] | None = None
     grad: Callable[[np.ndarray, int], np.ndarray] | None = None
+    full_value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
 
     def __post_init__(self):
         if self.batch_loss is None:
@@ -145,6 +161,11 @@ class Problem:
 
     def full_gradient(self, w: np.ndarray) -> np.ndarray:
         return self.grads_at(w).sum(axis=0) / self.n
+
+    def value_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
+        if self.full_value_and_grad is not None:
+            return self.full_value_and_grad(w)
+        return self.objective(w), self.full_gradient(w)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +261,23 @@ def logistic_problem(
         p[np.arange(len(idx)), y[idx]] -= 1.0
         return np.einsum("bm,bd->bmd", p, X[idx]).reshape(len(idx), m * d)
 
+    onehot_at = np.arange(n) * m + y  # flat index of each row's true-class entry
+
+    def full_value_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
+        # one logits pass and one exp shared by the mean loss and the summed
+        # gradient, bitwise equal to batch_loss/batch_grad over all rows: the
+        # row max is exact in any order, and einsum without optimize= adds
+        # the rows sequentially, as grads_at(w).sum(axis=0) does, where a
+        # BLAS (P - Y)^T X would not
+        logits = X @ w.reshape(m, d).T
+        z = logits - functools.reduce(np.maximum, logits.T)[:, None]
+        e = np.exp(z)
+        s = e.sum(axis=1)
+        f = float((np.log(s) - z.ravel()[onehot_at]).mean())
+        e /= s[:, None]
+        e.ravel()[onehot_at] -= 1.0
+        return f, np.einsum("bm,bd->md", e, X).ravel() / n
+
     return Problem(
         n=n,
         dim=m * d,
@@ -248,6 +286,7 @@ def logistic_problem(
         domain=domain,
         batch_loss=batch_loss,
         batch_grad=batch_grad,
+        full_value_and_grad=full_value_and_grad,
     )
 
 

@@ -95,7 +95,7 @@ def run_dp_sgd(problem: Problem, config: DpSgdConfig, record: bool = False) -> R
 
     Fully deterministic given the seed. The final iterate w_T is computed but
     never returned. ``record=True`` additionally stores f(w_t) and
-    ||grad f(w_t)|| per iteration (one full data pass each).
+    ||grad f(w_t)|| per iteration (one ``value_and_grad`` call each).
     """
     rng = np.random.default_rng(config.seed)
     t_hat = int(rng.integers(config.T))
@@ -105,8 +105,9 @@ def run_dp_sgd(problem: Problem, config: DpSgdConfig, record: bool = False) -> R
     grad_norms: list[float] = []
     for t in range(config.T):
         if record:
-            objectives.append(problem.objective(w))
-            grad_norms.append(float(np.linalg.norm(problem.full_gradient(w))))
+            f, g = problem.value_and_grad(w)
+            objectives.append(f)
+            grad_norms.append(float(np.linalg.norm(g)))
         if t == t_hat:
             w_priv = w.copy()
         w = dp_sgd_step(w, problem, config, rng)
@@ -275,10 +276,11 @@ def subgradient_descent(
 ) -> tuple[np.ndarray, float]:
     """Full-batch projected (sub)gradient descent; returns the best iterate."""
     w = problem.domain.project(np.asarray(w0, dtype=float))
-    best_w, best_f = w.copy(), problem.objective(w)
+    f, g = problem.value_and_grad(w)
+    best_w, best_f = w.copy(), f
     for _ in range(T):
-        w = problem.domain.project(w - eta * problem.full_gradient(w))
-        f = problem.objective(w)
+        w = problem.domain.project(w - eta * g)
+        f, g = problem.value_and_grad(w)
         if f < best_f:
             best_w, best_f = w.copy(), f
     return best_w, best_f

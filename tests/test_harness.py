@@ -91,6 +91,29 @@ def test_sweep_constant_metric_has_zero_std(tmp_path):
     assert mean_metric == pytest.approx(values[0], rel=1e-15)
 
 
+def test_best_eta_skips_nan_means(monkeypatch, tmp_path, capsys):
+    from dpclip.harness import commands
+
+    # calls run eta-major over two seeds: eta 0.1 gives NaN, 0.3 and 1.0 tie
+    values = iter([math.nan, math.nan, 1.0, 2.0, 2.0, 1.0])
+    monkeypatch.setattr(commands, "_metric_value", lambda *args: next(values))
+    out = tmp_path / "sweep.csv"
+    spec = _tiny_spec("sweep-clip", out, clip_candidates=("p50",), eta_grid=(0.1, 0.3, 1.0))
+    _, _, eta_best, mean_best, _ = cmd_sweep_clip(spec).rows[0]
+    assert (eta_best, mean_best) == (0.3, 1.5)
+
+    monkeypatch.setattr(commands, "_metric_value", lambda *args: math.nan)
+    with pytest.raises(SpecValidationError, match="NaN mean metric at clip norm"):
+        cmd_sweep_clip(spec)
+    out.unlink()
+    args = ["sweep-clip", "--synthetic", "planted", "--n", "60", "--dim", "3",
+            "--iterations", "5", "--batch", "10", "--clip-candidates", "2.5",
+            "--out", str(out)]
+    assert main(args) == 1
+    assert "at clip norm 2.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_infinite_tau_requires_no_noise(tmp_path):
     spec = _tiny_spec("sweep-clip", tmp_path / "x.csv", clip_candidates=("inf",))
     with pytest.raises(SpecValidationError):

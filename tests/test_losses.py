@@ -89,6 +89,39 @@ def test_csv_loader_errors(tmp_path):
         load_dataset_csv(ragged)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\n\n", "empty dataset file"),
+        ("x1,x2,label\n\n", "dataset file has a header but no rows"),
+        ("a\n1.0\n", "rows must contain at least one feature and a label"),
+        ("x1,x2,label\n1.0,2.0,0\n\n3.0,4.0,1\n1.0,1\n", "row 2 has 2 fields, expected 3"),
+        ("1.0,2.0,0\n1.0,2.0,0.5\n", "trailing column must hold integer labels"),
+    ],
+    ids=["empty", "header-only", "one-field", "ragged", "non-integer-label"],
+)
+def test_csv_loader_error_messages(tmp_path, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    for append_bias in (False, True):
+        with pytest.raises(ValueError, match=message):
+            load_dataset_csv(path, append_bias=append_bias)
+
+
+def test_csv_loader_bias_path_matches_with_bias(tmp_path):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "data.csv"
+    X, y = rng.normal(size=(50, 3)), rng.integers(0, 3, 50)
+    rows = [",".join(map(repr, x.tolist())) + f",{c}" for x, c in zip(X, y)]
+    path.write_text("a,b,c,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    direct = load_dataset_csv(path, append_bias=True)
+    two_step = load_dataset_csv(path).with_bias()
+    assert direct.bias_appended and two_step.bias_appended
+    assert np.array_equal(direct.features, two_step.features)
+    assert np.array_equal(direct.labels, two_step.labels)
+    assert direct.features.flags.c_contiguous
+
+
 # ---------------------------------------------------------------------------
 # Logistic regression
 # ---------------------------------------------------------------------------
@@ -232,6 +265,36 @@ def test_logistic_problem_batch_consistency():
     assert np.allclose(
         cases[0][0].lipschitz, math.sqrt(2.0) * np.linalg.norm(ds.features, axis=1)
     )
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000, 8193])
+@pytest.mark.parametrize("bias", [False, True], ids=["raw", "bias"])
+def test_logistic_value_and_grad_is_bitwise_two_call(n, bias):
+    rng = np.random.default_rng(n)
+    features = rng.normal(size=(n, 5)) * rng.pareto(2.0, size=(n, 1))
+    ds = Dataset(np.asfortranarray(features), rng.integers(0, 4, n))
+    prob = logistic_problem(ds.with_bias() if bias else ds, 4)
+    assert prob.full_value_and_grad is not None
+    for scale in (0.0, 0.3, 3.0, 30.0):
+        w = scale * rng.normal(size=prob.dim)
+        f, g = prob.value_and_grad(w)
+        assert f == prob.objective(w)
+        assert np.array_equal(g, prob.full_gradient(w))
+
+
+def test_value_and_grad_fallback_families():
+    rng = np.random.default_rng(29)
+    anchors = rng.normal(size=(9, 3))
+    anchors[4] = 0.0  # a kink at w = 0
+    median = geometric_median_problem(anchors)
+    lifted = Problem(n=9, dim=3, loss=median.loss, grad=median.grad, lipschitz=np.ones(9))
+    for prob in (median, hard_instance_problem(rng.normal(size=(11, 3))), lifted):
+        assert prob.full_value_and_grad is None
+        for scale in (0.0, 0.5, 4.0):
+            w = scale * rng.normal(size=prob.dim)
+            f, g = prob.value_and_grad(w)
+            assert f == prob.objective(w)
+            assert np.array_equal(g, prob.full_gradient(w))
 
 
 # ---------------------------------------------------------------------------

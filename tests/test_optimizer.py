@@ -8,6 +8,7 @@ import pytest
 from dpclip.domains import Ball, Unconstrained
 from dpclip.losses import (
     geometric_median_problem,
+    hard_instance_problem,
     logistic_problem,
     planted_logistic_dataset,
 )
@@ -26,6 +27,7 @@ from dpclip.optimizer import (
     schedule_nonconvex,
     schedule_sharp_convex,
     schedule_unconstrained_convex,
+    subgradient_descent,
 )
 from dpclip.privacy import PrivacyBudget, PrivacyRegimeWarning, noise_variance
 
@@ -141,6 +143,57 @@ def test_run_t1_returns_w0_and_is_deterministic():
     assert np.array_equal(r1.w_priv, r2.w_priv)
     for key in ("objective", "grad_norm"):
         assert np.array_equal(r1.trajectory_stats[key], r2.trajectory_stats[key])
+
+    # the recorded values are bitwise the separate objective/full_gradient
+    # calls at each iterate, for the fused logistic pass and the fallback
+    rng = np.random.default_rng(2)
+    ds = planted_logistic_dataset(40, 3, 3, rng, 0.5, 4.0).with_bias()
+    logistic = logistic_problem(ds, 3)
+    for prob in (geometric_median_problem(rng.normal(size=(6, 2))), logistic):
+        config = DpSgdConfig(
+            T=25, eta=0.3, tau=1.0, b=3.0, sigma_sq=0.4, w0=np.zeros(prob.dim), seed=7
+        )
+        stats = run_dp_sgd(prob, config, record=True).trajectory_stats
+        step_rng = np.random.default_rng(config.seed)
+        step_rng.integers(config.T)  # the draw of the returned iterate
+        w = config.w0
+        objectives, grad_norms = [], []
+        for _ in range(config.T):
+            objectives.append(prob.objective(w))
+            grad_norms.append(float(np.linalg.norm(prob.full_gradient(w))))
+            w = dp_sgd_step(w, prob, config, step_rng)
+        assert np.array_equal(stats["objective"], objectives)
+        assert np.array_equal(stats["grad_norm"], grad_norms)
+
+
+def _two_call_subgradient_descent(problem, w0, eta, T):
+    # reference: separate objective and full_gradient calls at each iterate
+    w = problem.domain.project(np.asarray(w0, dtype=float))
+    best_w, best_f = w.copy(), problem.objective(w)
+    for _ in range(T):
+        w = problem.domain.project(w - eta * problem.full_gradient(w))
+        f = problem.objective(w)
+        if f < best_f:
+            best_w, best_f = w.copy(), f
+    return best_w, best_f
+
+
+def test_subgradient_descent_bitwise_matches_two_call_loop():
+    rng = np.random.default_rng(13)
+    ds = planted_logistic_dataset(300, 4, 3, rng, 0.4, 8.0)
+    problems = [
+        logistic_problem(ds.with_bias(), 3),
+        logistic_problem(ds, 3, domain=Ball(np.zeros(12), 2.0)),
+        geometric_median_problem(rng.normal(size=(15, 3))),
+        hard_instance_problem(rng.normal(size=(15, 4))),
+    ]
+    for prob in problems:
+        w0 = 0.1 * rng.normal(size=prob.dim)
+        for eta in (0.03, 1.0, 3.0):
+            best_w, best_f = subgradient_descent(prob, w0, eta, 60)
+            ref_w, ref_f = _two_call_subgradient_descent(prob, w0, eta, 60)
+            assert best_f == ref_f
+            assert np.array_equal(best_w, ref_w)
 
 
 def test_noiseless_full_batch_matches_plain_gd_bitwise():
