@@ -6,7 +6,7 @@ schema-stable CSV."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,7 +82,8 @@ def _dataset_from_spec(spec: ExperimentSpec) -> tuple[Dataset, Dataset | None]:
     return train, None
 
 
-def _build_problem(spec: ExperimentSpec) -> tuple[Problem, dict]:
+def _build_problem(spec: ExperimentSpec) -> tuple[Problem, Dataset | None]:
+    """The logistic problem on the spec's data and the held-out split, if any."""
     train, test = _dataset_from_spec(spec)
     m = train.num_classes if spec.csv is not None else spec.classes
     if test is not None:
@@ -90,19 +91,15 @@ def _build_problem(spec: ExperimentSpec) -> tuple[Problem, dict]:
     problem = logistic_problem(train, m)
     if spec.batch > train.n:
         raise SpecValidationError(f"batch {spec.batch} exceeds dataset size {train.n}")
-    meta = {
-        "m": m,
-        "feature_dim": train.dim,
-        "test": test,
-        "metric": "accuracy" if test is not None else "suboptimality",
-    }
-    return problem, meta
+    return problem, test
 
 
-def _metric_value(problem: Problem, meta: dict, f_star: float | None, w: np.ndarray) -> float:
-    if meta["metric"] == "accuracy":
-        test: Dataset = meta["test"]
-        scores = test.features @ w.reshape(meta["m"], meta["feature_dim"]).T
+def _metric_value(
+    problem: Problem, test: Dataset | None, f_star: float | None, w: np.ndarray
+) -> float:
+    """Held-out accuracy when a test split is given, else suboptimality."""
+    if test is not None:
+        scores = test.features @ w.reshape(-1, test.dim).T
         return float(np.mean(np.argmax(scores, axis=1) == test.labels))
     return problem.objective(w) - f_star
 
@@ -114,56 +111,48 @@ def _reference(problem: Problem, spec: ExperimentSpec) -> tuple[np.ndarray, floa
     )
 
 
-def _sigma_sq_for(spec: ExperimentSpec, tau: float, n: int, dim: int) -> float:
+def _sigma_sq_for(spec: ExperimentSpec, tau: float, problem: Problem) -> float:
     if spec.no_noise:
         return 0.0
     if math.isinf(tau):
         raise SpecValidationError("an infinite clip norm requires --no-noise")
     budget = PrivacyBudget(spec.epsilon, spec.delta, spec.nu)
     return noise_variance(
-        spec.iterations, tau, n, budget, dim, expected_batch=spec.batch
+        spec.iterations, tau, problem.n, budget, problem.dim, expected_batch=spec.batch
     ).sigma_sq
 
 
 def _run_seeds(
-    problem: Problem, spec: ExperimentSpec, tau: float, eta: float, sigma_sq: float
-) -> list[np.ndarray]:
-    """One DP-SGD run from the origin per spec seed; returns the private iterates."""
-    return [
-        run_dp_sgd(
-            problem,
-            DpSgdConfig(
-                T=spec.iterations,
-                eta=eta,
-                tau=tau,
-                b=spec.batch,
-                sigma_sq=sigma_sq,
-                w0=np.zeros(problem.dim),
-                seed=seed,
-                domain=problem.domain,
-            ),
-        ).w_priv
-        for seed in spec.seeds
-    ]
+    problem: Problem, test: Dataset | None, f_star: float | None,
+    spec: ExperimentSpec, tau: float, eta: float, sigma_sq: float,
+) -> list[float]:
+    """One DP-SGD run from the origin per spec seed; returns each run's metric."""
+    metrics = []
+    for seed in spec.seeds:
+        config = DpSgdConfig(
+            T=spec.iterations,
+            eta=eta,
+            tau=tau,
+            b=spec.batch,
+            sigma_sq=sigma_sq,
+            w0=np.zeros(problem.dim),
+            seed=seed,
+            domain=problem.domain,
+        )
+        w = run_dp_sgd(problem, config).w_priv
+        metrics.append(_metric_value(problem, test, f_star, w))
+    return metrics
 
 
 def _best_over_eta(
-    problem: Problem,
-    meta: dict,
-    spec: ExperimentSpec,
-    tau: float,
-    sigma_sq: float,
-    f_star: float | None,
+    problem: Problem, test: Dataset | None, f_star: float | None,
+    spec: ExperimentSpec, tau: float, sigma_sq: float,
 ) -> tuple[float, float, float, list[tuple[float, float, int, float]]]:
     """Run the eta grid x seeds at one clip norm; return the best eta's stats."""
-    higher_better = meta["metric"] == "accuracy"
     cells = []
     stats = []
     for eta in spec.eta_grid:
-        values = [
-            _metric_value(problem, meta, f_star, w)
-            for w in _run_seeds(problem, spec, tau, eta, sigma_sq)
-        ]
+        values = _run_seeds(problem, test, f_star, spec, tau, eta, sigma_sq)
         cells.extend((tau, eta, seed, v) for seed, v in zip(spec.seeds, values))
         arr = np.array(values)
         stats.append((eta, float(arr.mean()), float(arr.std())))
@@ -171,9 +160,26 @@ def _best_over_eta(
     scored = [s for s in stats if not math.isnan(s[1])]
     if not scored:
         raise SpecValidationError(f"every eta gives a NaN mean metric at clip norm {tau!r}")
-    key = (lambda s: s[1]) if higher_better else (lambda s: -s[1])
+    # accuracy (with a test split) is maximised, suboptimality minimised
+    key = (lambda s: s[1]) if test is not None else (lambda s: -s[1])
     eta_best, mean_best, std_best = max(scored, key=key)
     return eta_best, mean_best, std_best, cells
+
+
+def _sweep(
+    problem: Problem, test: Dataset | None, spec: ExperimentSpec, taus: list[float]
+) -> list[tuple[float, float, float, list[tuple[float, float, int, float]]]]:
+    """Best-over-eta stats per clip norm.
+
+    The noise of every clip norm is calibrated first, so a norm that cannot be
+    run fails before the reference oracle or any DP-SGD run.
+    """
+    sigma_sqs = [_sigma_sq_for(spec, tau, problem) for tau in taus]
+    f_star = None if test is not None else _reference(problem, spec)[1]
+    return [
+        _best_over_eta(problem, test, f_star, spec, tau, sigma_sq)
+        for tau, sigma_sq in zip(taus, sigma_sqs)
+    ]
 
 
 def resolve_candidates(
@@ -212,24 +218,19 @@ def resolve_candidates(
 
 def cmd_sweep_clip(spec: ExperimentSpec) -> SweepReport:
     """Best-over-eta metric per clip-norm candidate, averaged over seeds."""
-    problem, meta = _build_problem(spec)
+    problem, test = _build_problem(spec)
     profile = build_profile(problem)
     candidates = resolve_candidates(spec.clip_candidates, profile)
-    f_star = None
-    if meta["metric"] == "suboptimality":
-        _, f_star = _reference(problem, spec)
+    results = _sweep(problem, test, spec, [tau for _, _, tau in candidates])
     rows = []
     all_cells = []
-    for token, kind, tau in candidates:
-        sigma_sq = _sigma_sq_for(spec, tau, problem.n, problem.dim)
-        eta_best, mean_best, std_best, cells = _best_over_eta(
-            problem, meta, spec, tau, sigma_sq, f_star
-        )
+    for (_, kind, tau), (eta_best, mean_best, std_best, cells) in zip(candidates, results):
         rows.append([tau, kind, eta_best, mean_best, std_best])
         all_cells.extend(cells)
+    metric_kind = "accuracy" if test is not None else "suboptimality"
     write_csv(spec.out, ["tau", "tau_kind", "eta_best", "mean_metric", "std_metric"], rows)
-    print(f"sweep-clip: {len(rows)} clip norms -> {spec.out} ({meta['metric']})")
-    return SweepReport(metric_kind=meta["metric"], cells=all_cells, rows=rows)
+    print(f"sweep-clip: {len(rows)} clip norms -> {spec.out} ({metric_kind})")
+    return SweepReport(metric_kind=metric_kind, cells=all_cells, rows=rows)
 
 
 def cmd_rnmm_pipeline(spec: ExperimentSpec) -> dict:
@@ -247,7 +248,7 @@ def cmd_rnmm_pipeline(spec: ExperimentSpec) -> dict:
         if not 0 < spec.eps_rnmm < spec.epsilon:
             raise SpecValidationError("need 0 < eps_rnmm < eps_total")
         eps_dpsgd = spec.epsilon - spec.eps_rnmm
-    problem, meta = _build_problem(spec)
+    problem, test = _build_problem(spec)
     profile = build_profile(problem)
     clamp = spec.rnmm_clamp if spec.rnmm_clamp is not None else percentile(profile, 99.9)
     if clamp <= 0:
@@ -258,17 +259,9 @@ def cmd_rnmm_pipeline(spec: ExperimentSpec) -> dict:
     tau_selected = float(clamped[selected])
     tau_oracle = profile.minimum
 
-    run_spec = ExperimentSpec(**{**spec.__dict__, "epsilon": eps_dpsgd})
-    f_star = None
-    if meta["metric"] == "suboptimality":
-        _, f_star = _reference(problem, spec)
-    _, metric_with, _, _ = _best_over_eta(
-        problem, meta, run_spec, tau_selected,
-        _sigma_sq_for(run_spec, tau_selected, problem.n, problem.dim), f_star,
-    )
-    _, metric_without, _, _ = _best_over_eta(
-        problem, meta, run_spec, tau_oracle,
-        _sigma_sq_for(run_spec, tau_oracle, problem.n, problem.dim), f_star,
+    run_spec = replace(spec, epsilon=eps_dpsgd)
+    (_, metric_with, _, _), (_, metric_without, _, _) = _sweep(
+        problem, test, run_spec, [tau_selected, tau_oracle]
     )
     report = {
         "eps_total": spec.epsilon,
@@ -297,6 +290,10 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
     """
     if not spec.n_list:
         raise SpecValidationError("phi-scaling requires a nonempty n list")
+    if spec.batch > min(spec.n_list):
+        raise SpecValidationError(f"batch {spec.batch} exceeds n={min(spec.n_list)}")
+    if not spec.moment_k > 1:
+        raise SpecValidationError("moment order k must exceed 1")
     budget = PrivacyBudget(spec.epsilon, spec.delta, spec.nu)
     k = spec.moment_k
     rows = []
@@ -306,29 +303,18 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
         if spec.append_bias:
             train = train.with_bias()
         problem = logistic_problem(train, spec.classes)
-        if spec.batch > n:
-            raise SpecValidationError(f"batch {spec.batch} exceeds n={n}")
         phi = compute_phi(n, problem.dim, budget)
         g_emp = float(np.mean(problem.lipschitz**k) ** (1.0 / k))
-        tau, eta = _unconstrained_schedule(g_emp, spec, phi, k)
-        sigma_sq = noise_variance(
-            spec.iterations, tau, n, budget, problem.dim, expected_batch=spec.batch
-        ).sigma_sq
+        tau, eta = schedule_unconstrained_convex(
+            g_emp, spec.gamma, spec.growth_c, spec.iterations, phi, k
+        )
+        sigma_sq = _sigma_sq_for(spec, tau, problem)
         _, f_star = _reference(problem, spec)
-        risks = [
-            problem.objective(w) - f_star
-            for w in _run_seeds(problem, spec, tau, eta, sigma_sq)
-        ]
+        risks = _run_seeds(problem, None, f_star, spec, tau, eta, sigma_sq)
         rows.append([n, phi, k, float(np.median(risks))])
     write_csv(spec.out, ["n", "phi", "k", "median_risk"], rows)
     print(f"phi-scaling: {len(rows)} dataset sizes -> {spec.out}")
     return rows
-
-
-def _unconstrained_schedule(g: float, spec: ExperimentSpec, phi: float, k: float):
-    return schedule_unconstrained_convex(
-        g, spec.gamma, spec.growth_c, spec.iterations, phi, k
-    )
 
 
 def cmd_bias_oracle(spec: ExperimentSpec) -> bool:
@@ -390,6 +376,8 @@ def cmd_lower_bound_demo(spec: ExperimentSpec) -> list[list]:
     d = spec.dim
     if d % 2 != 0:
         raise SpecValidationError("lower-bound-demo requires an even dimension")
+    if spec.batch > spec.n:
+        raise SpecValidationError(f"batch {spec.batch} exceeds n={spec.n}")
     k = spec.moment_k
     rng = np.random.default_rng([spec.master_seed, _TAG_QV])
     v = np.zeros(d)
@@ -414,16 +402,12 @@ def cmd_lower_bound_demo(spec: ExperimentSpec) -> list[list]:
     w_star = v / np.linalg.norm(v)
     f_star = problem.objective(w_star)
     g = 3.0 * float(np.linalg.norm(v))
-    tau, eta = _unconstrained_schedule(g, spec, phi, k)
-    if spec.batch > spec.n:
-        raise SpecValidationError(f"batch {spec.batch} exceeds n={spec.n}")
-    sigma_sq = noise_variance(
-        spec.iterations, tau, spec.n, budget, d, expected_batch=spec.batch
-    ).sigma_sq
-    rows = [
-        [seed, problem.objective(w) - f_star, phi_scale, 0]
-        for seed, w in zip(spec.seeds, _run_seeds(problem, spec, tau, eta, sigma_sq))
-    ]
+    tau, eta = schedule_unconstrained_convex(
+        g, spec.gamma, spec.growth_c, spec.iterations, phi, k
+    )
+    sigma_sq = _sigma_sq_for(spec, tau, problem)
+    risks = _run_seeds(problem, None, f_star, spec, tau, eta, sigma_sq)
+    rows = [[seed, risk, phi_scale, 0] for seed, risk in zip(spec.seeds, risks)]
     write_csv(spec.out, ["seed", "risk", "phi_power_scale", "degenerate"], rows)
     print(
         f"lower-bound-demo: verified instance, {len(rows)} runs -> {spec.out} "

@@ -22,7 +22,9 @@ class ExperimentSpec:
     """Resolved inputs of one harness command.
 
     Fields mirror the CLI flags one-to-one; a JSON config file supplies the
-    same keys. Only the fields a given command reads are validated by it.
+    same keys. The seeds, output path and DP-SGD controls are checked here,
+    before any command starts; other fields are validated by the command
+    that reads them.
     """
 
     command: str
@@ -80,3 +82,9 @@ class ExperimentSpec:
             raise SpecValidationError("seeds must be nonnegative integers")
         if not self.out:
             raise SpecValidationError("an output path is required")
+        if self.iterations < 1:
+            raise SpecValidationError("iterations must be >= 1")
+        if not self.batch > 0:
+            raise SpecValidationError("batch must be positive")
+        if not self.eta_grid or not all(eta >= 0 for eta in self.eta_grid):
+            raise SpecValidationError("eta grid must be nonempty and nonnegative")

@@ -63,6 +63,11 @@ def test_spec_validation():
         ExperimentSpec(command="sweep-clip", out="x.csv", seeds=(-1,))
     with pytest.raises(SpecValidationError):
         ExperimentSpec(command="sweep-clip", out="")
+    # DP-SGD controls fail at construction, not after the reference oracle
+    for bad in (dict(iterations=0), dict(batch=0.0), dict(batch=-5.0),
+                dict(eta_grid=()), dict(eta_grid=(0.1, -0.1))):
+        with pytest.raises(SpecValidationError):
+            ExperimentSpec(command="sweep-clip", out="x.csv", **bad)
 
 
 def test_sweep_row_cardinality_and_schema(tmp_path):
@@ -114,10 +119,32 @@ def test_best_eta_skips_nan_means(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_infinite_tau_requires_no_noise(tmp_path):
-    spec = _tiny_spec("sweep-clip", tmp_path / "x.csv", clip_candidates=("inf",))
-    with pytest.raises(SpecValidationError):
-        cmd_sweep_clip(spec)
+@pytest.mark.parametrize(
+    "command, kw, cause",
+    [
+        ("sweep-clip", dict(clip_candidates=("p0", "inf")), "requires --no-noise"),
+        ("phi-scaling", dict(synthetic="heavy", n_list=(600, 20), batch=30.0),
+         "exceeds n=20"),
+        ("phi-scaling", dict(synthetic="heavy", n_list=(150,), moment_k=0.0),
+         "k must exceed 1"),
+        ("lower-bound-demo", dict(synthetic=None, dim=2, n=10, batch=50.0),
+         "exceeds n=10"),
+    ],
+    ids=["sweep-inf-without-no-noise", "phi-batch-over-min-n", "phi-moment-k-zero",
+         "lower-bound-batch-over-n"],
+)
+def test_invalid_input_fails_before_any_run(monkeypatch, tmp_path, command, kw, cause):
+    from dpclip.harness import commands
+
+    def never(*args, **kwargs):
+        raise AssertionError("expensive work ran before validation")
+
+    for name in ("reference_minimum", "run_dp_sgd", "_verify_hard_instance"):
+        monkeypatch.setattr(commands, name, never)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SpecValidationError, match=cause):
+        commands.COMMANDS[command](_tiny_spec(command, out, **kw))
+    assert not out.exists()
 
 
 def test_sweep_no_noise_inf_matches_plain_sgd_oracle(tmp_path):
@@ -278,6 +305,58 @@ def test_cli_config_file_equivalent_to_flags(tmp_path):
     flag_bytes = out_flags.read_bytes()
     config_bytes = out_config.read_bytes()
     assert flag_bytes == config_bytes
+
+
+def test_cli_no_noise_flag_matches_config(tmp_path):
+    # an unclipped, noiseless sweep needs no_noise; the flag and the config key
+    # must both set it
+    out_flag, out_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+    args = [
+        "sweep-clip", "--synthetic", "planted", "--n", "60", "--dim", "3",
+        "--iterations", "10", "--batch", "10", "--eta-grid", "0.3",
+        "--clip-candidates", "inf",
+    ]
+    assert main(args + ["--no-noise", "--out", str(out_flag)]) == 0
+    config_path = tmp_path / "spec.json"
+    config_path.write_text(json.dumps({"no_noise": True}), encoding="utf-8")
+    assert main(args + ["--config", str(config_path), "--out", str(out_config)]) == 0
+    assert out_flag.read_bytes() == out_config.read_bytes()
+
+
+def test_no_noise_skips_calibration_in_every_dp_sgd_command(monkeypatch, tmp_path):
+    from dpclip.harness import commands
+
+    def calibrate(*args, **kwargs):
+        raise AssertionError("noise calibrated under no_noise")
+
+    monkeypatch.setattr(commands, "noise_variance", calibrate)
+    phi = _tiny_spec(
+        "phi-scaling", tmp_path / "phi.csv", synthetic="heavy", n_list=(150,),
+        dim=3, classes=2, iterations=10, batch=15.0, no_noise=True,
+    )
+    assert len(cmd_phi_scaling(phi)) == 1
+    lb = _tiny_spec(
+        "lower-bound-demo", tmp_path / "lb.csv", synthetic=None, dim=2, n=200,
+        qv_p=0.2, iterations=10, no_noise=True,
+    )
+    assert len(cmd_lower_bound_demo(lb)) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bias-oracle", "--count", "2", "--epsilon", "2"],
+        ["bias-oracle", "--count", "2", "--no-noise"],
+        ["phi-scaling", "--n-list", "100", "--csv", "train.csv"],
+        ["phi-scaling", "--n-list", "100", "--n", "100"],
+        ["lower-bound-demo", "--eta-grid", "0.1"],
+    ],
+    ids=["bias-epsilon", "bias-no-noise", "phi-csv", "phi-n", "lower-bound-eta-grid"],
+)
+def test_cli_rejects_flags_a_command_ignores(tmp_path, argv):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_cli_maps_oracle_failures_to_exit_2(monkeypatch, tmp_path):
