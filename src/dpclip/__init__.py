@@ -7,7 +7,6 @@ from .clipping import (
     bias_bound_lemma,
     clip,
     clip_rows,
-    clipped_mean,
     clipping_bias_exact,
 )
 from .domains import UNCONSTRAINED, Ball, Unconstrained
@@ -33,7 +32,6 @@ from .losses import (
     lower_bound_loss,
     per_sample_lipschitz_logistic,
     planted_logistic_dataset,
-    sample_Qv,
     sample_Qv_many,
     sharpness_radius,
 )

@@ -1,4 +1,4 @@
-"""Norm clipping, clipped-mean aggregation and exact clipping-bias oracles.
+"""Per-sample norm clipping and exact clipping-bias oracles.
 
 The bias oracles operate on finite discrete vector distributions so that every
 expectation is an exact enumeration; the two analytic upper bounds evaluated
@@ -13,21 +13,13 @@ import numpy as np
 
 
 def clip(z: np.ndarray, c: float) -> np.ndarray:
-    """Rescale z to norm at most c, preserving direction; clip(0, c) = 0."""
-    if not c > 0:
-        raise ValueError(f"clip threshold must be positive, got {c}")
+    """Rescale z to norm at most c, preserving direction; one row of :func:`clip_rows`."""
     z = np.asarray(z, dtype=float)
-    # same reduction as clip_rows so the two paths agree bitwise
-    norm = float(np.sqrt(np.sum(z * z)))
-    if norm == 0.0:
-        return np.zeros_like(z)
-    if norm <= c:
-        return z
-    return z * (c / norm)
+    return clip_rows(z.reshape(1, -1), c).reshape(z.shape)
 
 
 def clip_rows(rows: np.ndarray, c: float) -> np.ndarray:
-    """Apply :func:`clip` to every row of a 2-D array.
+    """Rescale every row of a 2-D array to norm at most c; zero rows stay zero.
 
     Rows with norm at most c are scaled by exactly 1.0, so the no-op case is
     bit-identical to the input row.
@@ -40,24 +32,6 @@ def clip_rows(rows: np.ndarray, c: float) -> np.ndarray:
     over = norms > c
     scale[over] = c / norms[over]
     return rows * scale[:, None]
-
-
-def clipped_mean(
-    grads: list[np.ndarray] | np.ndarray,
-    tau: float,
-    b: float,
-    dim: int | None = None,
-) -> np.ndarray:
-    """Sum of clipped vectors divided by the expected batch size b.
-
-    b is used as the divisor even when the realized batch is smaller or
-    empty; an empty list yields the zero vector.
-    """
-    if not b > 0:
-        raise ValueError("expected batch size b must be positive")
-    if len(grads) == 0:
-        return np.zeros(dim if dim is not None else 0)
-    return clip_rows(np.stack(grads), tau).sum(axis=0) / b
 
 
 @dataclass(frozen=True)
@@ -94,7 +68,7 @@ class DiscreteVectorDistribution:
 
 def clipping_bias_exact(dist: DiscreteVectorDistribution, tau: float) -> float:
     """||E[v] - E[clip(v, tau)]|| by full enumeration over the support."""
-    clipped = np.stack([clip(v, tau) for v in dist.vectors])
+    clipped = clip_rows(dist.vectors, tau)
     return float(np.linalg.norm(dist.mean() - dist.probs @ clipped))
 
 

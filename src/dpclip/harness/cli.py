@@ -132,8 +132,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+# the synthetic-data fields, which a --csv dataset leaves unread
+_SYNTHETIC_ONLY = {"synthetic", "n", "dim", "classes", "norm_low", "norm_high", "tail_k"}
+
+
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    """Merge CLI flags over JSON config over dataclass defaults."""
+    """Merge CLI flags over JSON config over dataclass defaults.
+
+    Config keys obey the subcommand's own flags, so a field the command never
+    reads is rejected whichever way it is given.
+    """
     merged: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -147,10 +155,13 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
             continue
         if value is not None:
             merged[key] = value
-    known = set(ExperimentSpec.__dataclass_fields__) - {"command"}
-    unknown = set(merged) - known
+    unknown = set(merged) - (set(vars(args)) - {"command", "config"})
     if unknown:
-        raise SpecValidationError(f"unknown spec fields: {sorted(unknown)}")
+        raise SpecValidationError(f"{args.command} does not read: {sorted(unknown)}")
+    if merged.get("csv") is not None:
+        ignored = sorted(_SYNTHETIC_ONLY & set(merged))
+        if ignored:
+            raise SpecValidationError(f"--csv data ignores the synthetic fields {ignored}")
     for key in ("seeds", "eta_grid", "clip_candidates", "n_list", "p_list"):
         if key in merged and not isinstance(merged[key], tuple):
             merged[key] = tuple(merged[key])

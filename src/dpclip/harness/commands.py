@@ -137,7 +137,6 @@ def _run_seeds(
             sigma_sq=sigma_sq,
             w0=np.zeros(problem.dim),
             seed=seed,
-            domain=problem.domain,
         )
         w = run_dp_sgd(problem, config).w_priv
         metrics.append(_metric_value(problem, test, f_star, w))
@@ -290,6 +289,8 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
     """
     if not spec.n_list:
         raise SpecValidationError("phi-scaling requires a nonempty n list")
+    if spec.synthetic not in (None, "heavy"):
+        raise SpecValidationError("phi-scaling runs heavy-tailed data: --synthetic heavy")
     if spec.batch > min(spec.n_list):
         raise SpecValidationError(f"batch {spec.batch} exceeds n={min(spec.n_list)}")
     if not spec.moment_k > 1:

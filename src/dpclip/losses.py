@@ -245,7 +245,15 @@ def logistic_problem(
         raise ValueError("at least two classes required")
     if int(y.max()) >= m:
         raise ValueError("labels exceed the declared number of classes")
-    lipschitz = math.sqrt(2.0) * np.linalg.norm(X, axis=1)
+    # the features are finite, but a row norm can still overflow
+    with np.errstate(over="ignore"):
+        lipschitz = math.sqrt(2.0) * np.linalg.norm(X, axis=1)
+    bad = ~np.isfinite(lipschitz)
+    if np.any(bad):
+        raise ValueError(
+            f"the Lipschitz constant of row {int(np.argmax(bad))} overflows;"
+            " per-sample Lipschitz constants must be finite"
+        )
 
     def batch_loss(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
         logits = X[idx] @ w.reshape(m, d).T
@@ -389,15 +397,8 @@ class QvSpec:
         return self.p ** (-1.0 / self.k) * self.v
 
 
-def sample_Qv(spec: QvSpec, rng: np.random.Generator) -> np.ndarray:
-    """One draw: the zero vector w.p. 1-p, else p^{-1/k} v."""
-    if rng.random() < spec.p:
-        return spec.heavy_atom.copy()
-    return np.zeros(spec.v.size)
-
-
 def sample_Qv_many(spec: QvSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorised draws, one per row."""
+    """``count`` draws, one per row: the zero vector w.p. 1-p, else p^{-1/k} v."""
     mask = rng.random(count) < spec.p
     return np.outer(mask.astype(float), spec.heavy_atom)
 

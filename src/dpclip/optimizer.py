@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .clipping import clip_rows
-from .domains import UNCONSTRAINED
 from .losses import Problem
 from .privacy import NoiseSpec, PrivacyRegimeWarning, gaussian_noise
 
@@ -24,7 +23,8 @@ class DpSgdConfig:
     ``b`` is the expected batch size of Poisson subsampling and is always the
     divisor of the summed clipped gradients, even when the realized batch is
     smaller or empty. ``sigma_sq`` is the per-coordinate noise variance
-    (typically from :func:`dpclip.privacy.noise_variance`).
+    (typically from :func:`dpclip.privacy.noise_variance`). Iterates are
+    projected onto the domain of the :class:`Problem` being solved.
     """
 
     T: int
@@ -34,7 +34,6 @@ class DpSgdConfig:
     sigma_sq: float
     w0: np.ndarray
     seed: int = 0
-    domain: object = field(default_factory=lambda: UNCONSTRAINED)
 
     def __post_init__(self):
         self.w0 = np.asarray(self.w0, dtype=float)
@@ -75,19 +74,16 @@ def dp_sgd_step(
 ) -> np.ndarray:
     """One update: sample, clip, average by the fixed b, noise, step, project.
 
-    An empty Poisson batch contributes noise only. With sigma_sq = 0 no noise
-    is drawn, so the step is bit-reproducible against plain (sub)gradient
-    descent when clipping is inactive and b = n.
+    An empty Poisson batch has ``(0, dim)`` gradients whose clipped sum is the
+    zero vector, so it contributes noise only. With sigma_sq = 0 no noise is
+    drawn, so the step is bit-reproducible against plain (sub)gradient descent
+    when clipping is inactive and b = n.
     """
     batch = poisson_sample(problem.n, config.b, rng)
-    if batch.size:
-        grads = problem.grads_at(w, batch)
-        g = clip_rows(grads, config.tau).sum(axis=0) / config.b
-    else:
-        g = np.zeros(problem.dim)
+    g = clip_rows(problem.grads_at(w, batch), config.tau).sum(axis=0) / config.b
     if config.sigma_sq > 0:
         g = g + gaussian_noise(NoiseSpec(config.sigma_sq, problem.dim), rng)
-    return config.domain.project(w - config.eta * g)
+    return problem.domain.project(w - config.eta * g)
 
 
 def run_dp_sgd(problem: Problem, config: DpSgdConfig, record: bool = False) -> RunResult:
@@ -99,7 +95,7 @@ def run_dp_sgd(problem: Problem, config: DpSgdConfig, record: bool = False) -> R
     """
     rng = np.random.default_rng(config.seed)
     t_hat = int(rng.integers(config.T))
-    w = config.domain.project(config.w0)
+    w = problem.domain.project(config.w0)
     w_priv = w
     objectives: list[float] = []
     grad_norms: list[float] = []

@@ -9,7 +9,6 @@ from dpclip.clipping import (
     bias_bound_lemma,
     clip,
     clip_rows,
-    clipped_mean,
     clipping_bias_exact,
 )
 
@@ -55,16 +54,6 @@ def test_clip_rows_matches_clip_bitwise():
     out = clip_rows(rows, 1.5)
     for i in range(rows.shape[0]):
         assert np.array_equal(out[i], clip(rows[i], 1.5))
-
-
-def test_clipped_mean_examples():
-    got = clipped_mean([np.array([2.0, 0.0]), np.array([0.0, 2.0])], 1.0, 2.0)
-    assert np.allclose(got, [0.5, 0.5], atol=1e-15)
-    assert np.array_equal(clipped_mean([], 1.0, 5.0, dim=3), np.zeros(3))
-    g = np.array([3.0, 4.0])
-    assert np.array_equal(clipped_mean([g], 10.0, 1.0), g)
-    with pytest.raises(ValueError):
-        clipped_mean([g], 1.0, 0.0)
 
 
 def test_distribution_validation():

@@ -342,18 +342,53 @@ def test_no_noise_skips_calibration_in_every_dp_sgd_command(monkeypatch, tmp_pat
     assert len(cmd_lower_bound_demo(lb)) == 2
 
 
+# a small valid run on a CSV dataset, so that each case below would exit 0 if
+# the field it adds were silently ignored
+_CSV_RUN = ["--csv", "{train}", "--batch", "2", "--iterations", "5", "--eta-grid", "0.1"]
+_CSV_SWEEP = ["sweep-clip", *_CSV_RUN, "--clip-candidates", "1.0"]
+_SYNTHETIC_FLAGS = {
+    "synthetic": ["--synthetic", "planted"], "n": ["--n", "3"], "dim": ["--dim", "2"],
+    "classes": ["--classes", "2"], "norm_low": ["--norm-low", "0.5"],
+    "norm_high": ["--norm-high", "2"], "tail_k": ["--tail-k", "3"],
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, config",
     [
-        ["bias-oracle", "--count", "2", "--epsilon", "2"],
-        ["bias-oracle", "--count", "2", "--no-noise"],
-        ["phi-scaling", "--n-list", "100", "--csv", "train.csv"],
-        ["phi-scaling", "--n-list", "100", "--n", "100"],
-        ["lower-bound-demo", "--eta-grid", "0.1"],
+        pytest.param(["bias-oracle", "--count", "2", "--epsilon", "2"], None, id="bias-epsilon"),
+        pytest.param(["bias-oracle", "--count", "2", "--no-noise"], None, id="bias-no-noise"),
+        pytest.param(
+            ["phi-scaling", "--n-list", "100", "--csv", "train.csv"], None, id="phi-csv"
+        ),
+        pytest.param(["phi-scaling", "--n-list", "100", "--n", "100"], None, id="phi-n"),
+        pytest.param(["lower-bound-demo", "--eta-grid", "0.1"], None, id="lower-bound-eta-grid"),
+        pytest.param(
+            _CSV_SWEEP, {"count": 3, "qv_p": 0.4, "moment_k": 9}, id="sweep-config-keys"
+        ),
+        *[
+            pytest.param(_CSV_SWEEP + flag, None, id=f"sweep-csv-{key}")
+            for key, flag in _SYNTHETIC_FLAGS.items()
+        ],
+        pytest.param(
+            ["rnmm-pipeline", *_CSV_RUN, "--eps-rnmm", "0.3"], {"tail_k": 3},
+            id="rnmm-csv-config-tail_k",
+        ),
+        pytest.param(
+            ["phi-scaling", "--n-list", "60", "--batch", "10", "--iterations", "5",
+             "--synthetic", "planted"],
+            None, id="phi-synthetic-planted",
+        ),
     ],
-    ids=["bias-epsilon", "bias-no-noise", "phi-csv", "phi-n", "lower-bound-eta-grid"],
 )
-def test_cli_rejects_flags_a_command_ignores(tmp_path, argv):
+def test_cli_rejects_flags_a_command_ignores(tmp_path, argv, config):
+    train = tmp_path / "train.csv"
+    train.write_text("0.5,-1.0,0\n1.0,2.0,1\n2.0,0.25,1\n", encoding="utf-8")
+    argv = [token.format(train=train) for token in argv]
+    if config is not None:
+        config_path = tmp_path / "spec.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(config_path)]
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 1
     assert not out.exists()
@@ -386,18 +421,22 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad_row, cause",
-    [("nan,1.0,1", "non-finite feature in row 1"), ("1e308,1e308,1", "must be finite")],
+    "bad_row, causes",
+    [
+        ("nan,1.0,1", ["non-finite feature in row 1"]),
+        ("1e308,1e308,1", ["row 1", "must be finite"]),
+    ],
     ids=["nan-feature", "overflowing-norm"],
 )
-def test_cli_rejects_non_finite_input_before_running(tmp_path, capsys, bad_row, cause):
+def test_cli_rejects_non_finite_input_before_running(tmp_path, capsys, bad_row, causes):
     # a NaN feature, or a finite row whose Lipschitz constant overflows, fails
-    # at set-up with exit code 1 and writes no result
+    # at set-up with exit code 1, names the row and writes no result
     train = tmp_path / "train.csv"
     train.write_text("0.5,-1.0,0\n" + bad_row + "\n2.0,0.25,1\n", encoding="utf-8")
     out = tmp_path / "out.csv"
     args = ["sweep-clip", "--csv", str(train), "--batch", "2", "--out", str(out)]
     for candidates in ("1.0", "p0,p100"):
         assert main(args + ["--clip-candidates", candidates]) == 1
-        assert cause in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(cause in err for cause in causes), err
         assert not out.exists()

@@ -20,7 +20,6 @@ from dpclip.losses import (
     lower_bound_loss,
     per_sample_lipschitz_logistic,
     planted_logistic_dataset,
-    sample_Qv,
     sample_Qv_many,
     sharpness_radius,
 )
@@ -417,11 +416,6 @@ def test_sample_qv_support_and_mean():
     total_var = spec.p ** (1.0 - 2.0 / spec.k) * (1.0 - spec.p) * v_norm2
     band = 4.0 * math.sqrt(total_var / draws.shape[0])
     assert np.linalg.norm(draws.mean(axis=0) - expected) <= band
-    singles = np.stack([sample_Qv(spec, rng) for _ in range(200)])
-    assert set(np.linalg.norm(singles, axis=1).round(12)) <= {
-        0.0,
-        round(float(np.linalg.norm(spec.heavy_atom)), 12),
-    }
 
 
 def test_hard_instance_problem_consistency():

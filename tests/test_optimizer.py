@@ -29,7 +29,13 @@ from dpclip.optimizer import (
     schedule_unconstrained_convex,
     subgradient_descent,
 )
-from dpclip.privacy import PrivacyBudget, PrivacyRegimeWarning, noise_variance
+from dpclip.privacy import (
+    NoiseSpec,
+    PrivacyBudget,
+    PrivacyRegimeWarning,
+    gaussian_noise,
+    noise_variance,
+)
 
 
 def _config(**kw):
@@ -85,6 +91,34 @@ def test_step_zero_eta_is_noop():
     assert np.array_equal(w_next, w)
 
 
+@pytest.mark.parametrize("family", ["geometric-median", "logistic"])
+def test_step_on_empty_batch_adds_noise_only(family):
+    # b is tiny against n, so the Poisson batch is empty: the clipped sum of
+    # the (0, dim) gradients is zero and only the noise moves w
+    rng = np.random.default_rng(12)
+    if family == "logistic":
+        ds = planted_logistic_dataset(40, 3, 3, rng, 0.5, 2.0).with_bias()
+        prob = logistic_problem(ds, 3)
+    else:
+        prob = geometric_median_problem(rng.normal(size=(40, 3)))
+    w = rng.normal(size=prob.dim)
+    for sigma_sq in (0.0, 0.3):
+        config = DpSgdConfig(
+            T=1, eta=0.7, tau=1.0, b=1e-9, sigma_sq=sigma_sq, w0=np.zeros(prob.dim)
+        )
+        step_rng = np.random.default_rng(5)
+        w_next = dp_sgd_step(w, prob, config, step_rng)
+        replay = np.random.default_rng(5)
+        assert poisson_sample(prob.n, config.b, replay).size == 0
+        if sigma_sq == 0.0:
+            assert np.array_equal(w_next, w)
+        else:
+            noise = gaussian_noise(NoiseSpec(sigma_sq, prob.dim), replay)
+            assert np.array_equal(w_next, w - config.eta * noise)
+        # the step drew exactly what the replay drew
+        assert step_rng.bit_generator.state == replay.bit_generator.state
+
+
 def test_ball_projection_examples():
     ball = Ball(np.zeros(2), 1.0)
     assert np.allclose(ball.project(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
@@ -95,11 +129,9 @@ def test_ball_projection_examples():
 def test_step_projects_radially_onto_ball():
     # the noiseless step from 0 lands at (3, 4) and projects to (0.6, 0.8)
     anchor = np.array([[3.0, 4.0]])
-    prob = geometric_median_problem(anchor)  # subgradient at 0 is -(0.6, 0.8)
-    config = DpSgdConfig(
-        T=1, eta=5.0, tau=1.0, b=1.0, sigma_sq=0.0, w0=np.zeros(2),
-        domain=Ball(np.zeros(2), 1.0),
-    )
+    # subgradient at 0 is -(0.6, 0.8)
+    prob = geometric_median_problem(anchor, domain=Ball(np.zeros(2), 1.0))
+    config = DpSgdConfig(T=1, eta=5.0, tau=1.0, b=1.0, sigma_sq=0.0, w0=np.zeros(2))
     w_next = dp_sgd_step(np.zeros(2), prob, config, np.random.default_rng(0))
     assert np.allclose(w_next, [0.6, 0.8], atol=1e-12)
 
@@ -116,12 +148,12 @@ def test_projection_idempotent_and_nonexpansive():
 
 def test_iterates_stay_in_ball():
     rng = np.random.default_rng(5)
-    prob = geometric_median_problem(rng.normal(0, 3, size=(6, 2)))
     ball = Ball(np.array([0.5, -0.5]), 0.75)
+    prob = geometric_median_problem(rng.normal(0, 3, size=(6, 2)), domain=ball)
     config = DpSgdConfig(
-        T=60, eta=0.5, tau=1.0, b=3.0, sigma_sq=0.2, w0=np.zeros(2), seed=9, domain=ball
+        T=60, eta=0.5, tau=1.0, b=3.0, sigma_sq=0.2, w0=np.zeros(2), seed=9
     )
-    w = config.domain.project(config.w0)
+    w = prob.domain.project(config.w0)
     step_rng = np.random.default_rng(11)
     for _ in range(config.T):
         w = dp_sgd_step(w, prob, config, step_rng)
