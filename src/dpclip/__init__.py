@@ -36,12 +36,8 @@ from .losses import (
     sharpness_radius,
 )
 from .optimizer import (
-    ConvexRisk,
     DpSgdConfig,
-    NonconvexRisk,
-    RunResult,
     dp_sgd_step,
-    optimization_risk,
     poisson_sample,
     reference_minimum,
     run_dp_sgd,

@@ -23,11 +23,7 @@ class _Parser(argparse.ArgumentParser):
     # oracle failures, so usage problems map to the validation code 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._exit_with(message))
-
-    def _exit_with(self, message) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _ints(text: str) -> tuple[int, ...]:

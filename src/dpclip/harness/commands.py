@@ -49,10 +49,9 @@ _TAG_BIAS = 15
 
 @dataclass
 class SweepReport:
-    """Per-cell metrics plus the per-clip-norm best-over-eta aggregate."""
+    """The per-clip-norm best-over-eta aggregate."""
 
     metric_kind: str
-    cells: list[tuple[float, float, int, float]]  # (tau, eta, seed, metric)
     rows: list[list]  # CSV rows (tau, tau_kind, eta_best, mean, std)
 
 
@@ -138,7 +137,7 @@ def _run_seeds(
             w0=np.zeros(problem.dim),
             seed=seed,
         )
-        w = run_dp_sgd(problem, config).w_priv
+        w = run_dp_sgd(problem, config)
         metrics.append(_metric_value(problem, test, f_star, w))
     return metrics
 
@@ -146,14 +145,11 @@ def _run_seeds(
 def _best_over_eta(
     problem: Problem, test: Dataset | None, f_star: float | None,
     spec: ExperimentSpec, tau: float, sigma_sq: float,
-) -> tuple[float, float, float, list[tuple[float, float, int, float]]]:
+) -> tuple[float, float, float]:
     """Run the eta grid x seeds at one clip norm; return the best eta's stats."""
-    cells = []
     stats = []
     for eta in spec.eta_grid:
-        values = _run_seeds(problem, test, f_star, spec, tau, eta, sigma_sq)
-        cells.extend((tau, eta, seed, v) for seed, v in zip(spec.seeds, values))
-        arr = np.array(values)
+        arr = np.array(_run_seeds(problem, test, f_star, spec, tau, eta, sigma_sq))
         stats.append((eta, float(arr.mean()), float(arr.std())))
     # max keeps the first of equal means; NaN means never compare, so drop them
     scored = [s for s in stats if not math.isnan(s[1])]
@@ -161,13 +157,12 @@ def _best_over_eta(
         raise SpecValidationError(f"every eta gives a NaN mean metric at clip norm {tau!r}")
     # accuracy (with a test split) is maximised, suboptimality minimised
     key = (lambda s: s[1]) if test is not None else (lambda s: -s[1])
-    eta_best, mean_best, std_best = max(scored, key=key)
-    return eta_best, mean_best, std_best, cells
+    return max(scored, key=key)
 
 
 def _sweep(
     problem: Problem, test: Dataset | None, spec: ExperimentSpec, taus: list[float]
-) -> list[tuple[float, float, float, list[tuple[float, float, int, float]]]]:
+) -> list[tuple[float, float, float]]:
     """Best-over-eta stats per clip norm.
 
     The noise of every clip norm is calibrated first, so a norm that cannot be
@@ -209,7 +204,7 @@ def resolve_candidates(
             value = float(t)
         except ValueError:
             raise SpecValidationError(f"bad clip candidate: {token!r}")
-        if value <= 0:
+        if not value > 0:
             raise SpecValidationError(f"clip candidates must be positive: {token!r}")
         out.append((t, "absolute", value))
     return out
@@ -221,15 +216,11 @@ def cmd_sweep_clip(spec: ExperimentSpec) -> SweepReport:
     profile = build_profile(problem)
     candidates = resolve_candidates(spec.clip_candidates, profile)
     results = _sweep(problem, test, spec, [tau for _, _, tau in candidates])
-    rows = []
-    all_cells = []
-    for (_, kind, tau), (eta_best, mean_best, std_best, cells) in zip(candidates, results):
-        rows.append([tau, kind, eta_best, mean_best, std_best])
-        all_cells.extend(cells)
+    rows = [[tau, kind, *stats] for (_, kind, tau), stats in zip(candidates, results)]
     metric_kind = "accuracy" if test is not None else "suboptimality"
     write_csv(spec.out, ["tau", "tau_kind", "eta_best", "mean_metric", "std_metric"], rows)
     print(f"sweep-clip: {len(rows)} clip norms -> {spec.out} ({metric_kind})")
-    return SweepReport(metric_kind=metric_kind, cells=all_cells, rows=rows)
+    return SweepReport(metric_kind=metric_kind, rows=rows)
 
 
 def cmd_rnmm_pipeline(spec: ExperimentSpec) -> dict:
@@ -250,8 +241,8 @@ def cmd_rnmm_pipeline(spec: ExperimentSpec) -> dict:
     problem, test = _build_problem(spec)
     profile = build_profile(problem)
     clamp = spec.rnmm_clamp if spec.rnmm_clamp is not None else percentile(profile, 99.9)
-    if clamp <= 0:
-        raise SpecValidationError("rnmm clamp bound must be positive")
+    if not clamp > 0:
+        raise SpecValidationError(f"rnmm clamp bound must be positive, got {clamp!r}")
     clamped = np.minimum(problem.lipschitz, clamp)
     rng = np.random.default_rng([spec.master_seed, _TAG_RNMM])
     selected = report_noisy_max(-clamped, spec.eps_rnmm, clamp, rng)
@@ -259,7 +250,7 @@ def cmd_rnmm_pipeline(spec: ExperimentSpec) -> dict:
     tau_oracle = profile.minimum
 
     run_spec = replace(spec, epsilon=eps_dpsgd)
-    (_, metric_with, _, _), (_, metric_without, _, _) = _sweep(
+    (_, metric_with, _), (_, metric_without, _) = _sweep(
         problem, test, run_spec, [tau_selected, tau_oracle]
     )
     report = {

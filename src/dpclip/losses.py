@@ -115,7 +115,7 @@ class Problem:
     domain; ``per_sample_min[i]``, when present, is min_w f_i(w).
 
     ``value_and_grad(w)`` returns ``(objective(w), full_gradient(w))`` in one
-    call; the reference oracle and record mode use it. A family may supply
+    call; the reference oracle uses it. A family may supply
     ``full_value_and_grad(w)``, a fused full-data pass that must give exactly
     these two values, bit for bit; without one the two are computed apart.
     """

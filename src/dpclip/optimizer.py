@@ -50,19 +50,14 @@ class DpSgdConfig:
             raise ValueError("sigma_sq must be nonnegative")
 
 
-@dataclass
-class RunResult:
-    """Output of one DP-SGD run: the uniformly random iterate and bookkeeping."""
-
-    w_priv: np.ndarray
-    selected_t: int
-    trajectory_stats: dict[str, np.ndarray] | None = None
+def _check_batch(n: int, b: float) -> None:
+    if not 0 < b <= n:
+        raise ValueError(f"need 0 < b <= n, got b={b}, n={n}")
 
 
 def poisson_sample(n: int, b: float, rng: np.random.Generator) -> np.ndarray:
     """Indices of a Poisson-subsampled batch: each i included w.p. b/n."""
-    if not 0 < b <= n:
-        raise ValueError(f"need 0 < b <= n, got b={b}, n={n}")
+    _check_batch(n, b)
     return np.flatnonzero(rng.random(n) < b / n)
 
 
@@ -86,31 +81,23 @@ def dp_sgd_step(
     return problem.domain.project(w - config.eta * g)
 
 
-def run_dp_sgd(problem: Problem, config: DpSgdConfig, record: bool = False) -> RunResult:
-    """Run T steps from w0 and return the t̂-th iterate, t̂ uniform on {0..T-1}.
+def run_dp_sgd(problem: Problem, config: DpSgdConfig) -> np.ndarray:
+    """Return the t̂-th iterate of T steps from w0, t̂ uniform on {0..T-1}.
 
-    Fully deterministic given the seed. The final iterate w_T is computed but
-    never returned. ``record=True`` additionally stores f(w_t) and
-    ||grad f(w_t)|| per iteration (one ``value_and_grad`` call each).
+    t̂ is drawn first, so the run stops after t̂ steps: no later step can
+    change the output, and the noise is still calibrated for all T. Fully
+    deterministic given the seed; the result is never ``config.w0`` itself.
+    The checks a step would make run first, so they hold even when t̂ = 0.
     """
+    if config.w0.shape != (problem.dim,):
+        raise ValueError(f"w0 must have shape ({problem.dim},), got {config.w0.shape}")
+    _check_batch(problem.n, config.b)
     rng = np.random.default_rng(config.seed)
     t_hat = int(rng.integers(config.T))
-    w = problem.domain.project(config.w0)
-    w_priv = w
-    objectives: list[float] = []
-    grad_norms: list[float] = []
-    for t in range(config.T):
-        if record:
-            f, g = problem.value_and_grad(w)
-            objectives.append(f)
-            grad_norms.append(float(np.linalg.norm(g)))
-        if t == t_hat:
-            w_priv = w.copy()
+    w = problem.domain.project(config.w0.copy())
+    for _ in range(t_hat):
         w = dp_sgd_step(w, problem, config, rng)
-    stats = None
-    if record:
-        stats = {"objective": np.array(objectives), "grad_norm": np.array(grad_norms)}
-    return RunResult(w_priv=w_priv, selected_t=t_hat, trajectory_stats=stats)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -230,38 +217,8 @@ def schedule_nonconvex(
 
 
 # ---------------------------------------------------------------------------
-# Risk metrics and the non-private reference oracle
+# The non-private reference oracle
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConvexRisk:
-    """Risk = mean suboptimality f(w_priv) - f_star over runs."""
-
-    f_star: float
-
-
-@dataclass(frozen=True)
-class NonconvexRisk:
-    """Risk = mean squared full-gradient norm at w_priv over runs."""
-
-
-def optimization_risk(
-    problem: Problem,
-    results: list[RunResult],
-    kind: ConvexRisk | NonconvexRisk,
-) -> float:
-    if not results:
-        raise ValueError("results must be nonempty")
-    if isinstance(kind, ConvexRisk):
-        values = [problem.objective(r.w_priv) - kind.f_star for r in results]
-    elif isinstance(kind, NonconvexRisk):
-        values = [
-            float(np.linalg.norm(problem.full_gradient(r.w_priv))) ** 2 for r in results
-        ]
-    else:
-        raise TypeError(f"unknown risk kind: {kind!r}")
-    return float(np.mean(values))
 
 
 def subgradient_descent(

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +55,7 @@ def test_resolve_candidates():
     assert resolved[1] == ("p100", "percentile", 8.0)
     assert resolved[2] == ("2.5", "absolute", 2.5)
     assert resolved[3][1] == "infinite" and math.isinf(resolved[3][2])
-    for bad in (("pxyz",), ("-1.0",), ("p150",), ()):
+    for bad in (("pxyz",), ("-1.0",), ("nan",), ("p150",), ()):
         with pytest.raises((SpecValidationError, ValueError)):
             resolve_candidates(bad, PROFILE)
 
@@ -70,7 +74,23 @@ def test_spec_validation():
             ExperimentSpec(command="sweep-clip", out="x.csv", **bad)
 
 
-def test_sweep_row_cardinality_and_schema(tmp_path):
+def _collect_metrics(monkeypatch):
+    """Record every per-run metric the harness computes, in call order."""
+    from dpclip.harness import commands
+
+    values = []
+    metric_value = commands._metric_value
+
+    def recording(*args):
+        values.append(metric_value(*args))
+        return values[-1]
+
+    monkeypatch.setattr(commands, "_metric_value", recording)
+    return values
+
+
+def test_sweep_row_cardinality_and_schema(monkeypatch, tmp_path):
+    values = _collect_metrics(monkeypatch)
     out = tmp_path / "sweep.csv"
     spec = _tiny_spec("sweep-clip", out, clip_candidates=("p0", "p100"))
     report = cmd_sweep_clip(spec)
@@ -78,11 +98,12 @@ def test_sweep_row_cardinality_and_schema(tmp_path):
     assert lines[0] == "tau,tau_kind,eta_best,mean_metric,std_metric"
     assert len(lines) == 3  # header + one row per candidate
     assert report.metric_kind == "suboptimality"
-    assert len(report.cells) == 2 * 2 * 2  # taus x etas x seeds
+    assert len(values) == 2 * 2 * 2  # taus x etas x seeds
 
 
-def test_sweep_constant_metric_has_zero_std(tmp_path):
+def test_sweep_constant_metric_has_zero_std(monkeypatch, tmp_path):
     # T = 1 always returns w0, so the metric is constant across seeds
+    values = _collect_metrics(monkeypatch)
     out = tmp_path / "const.csv"
     spec = _tiny_spec(
         "sweep-clip", out, no_noise=True, iterations=1, clip_candidates=("p50",),
@@ -90,7 +111,6 @@ def test_sweep_constant_metric_has_zero_std(tmp_path):
     )
     report = cmd_sweep_clip(spec)
     tau, kind, eta_best, mean_metric, std_metric = report.rows[0]
-    values = [v for (_, _, _, v) in report.cells]
     assert len(set(values)) == 1  # metric really is constant across seeds
     assert std_metric == pytest.approx(0.0, abs=1e-15)
     assert mean_metric == pytest.approx(values[0], rel=1e-15)
@@ -123,6 +143,10 @@ def test_best_eta_skips_nan_means(monkeypatch, tmp_path, capsys):
     "command, kw, cause",
     [
         ("sweep-clip", dict(clip_candidates=("p0", "inf")), "requires --no-noise"),
+        ("sweep-clip", dict(clip_candidates=("nan",), no_noise=True),
+         "must be positive: 'nan'"),
+        ("rnmm-pipeline", dict(eps_rnmm=math.inf, rnmm_clamp=math.nan),
+         "clamp bound must be positive, got nan"),
         ("phi-scaling", dict(synthetic="heavy", n_list=(600, 20), batch=30.0),
          "exceeds n=20"),
         ("phi-scaling", dict(synthetic="heavy", n_list=(150,), moment_k=0.0),
@@ -130,8 +154,8 @@ def test_best_eta_skips_nan_means(monkeypatch, tmp_path, capsys):
         ("lower-bound-demo", dict(synthetic=None, dim=2, n=10, batch=50.0),
          "exceeds n=10"),
     ],
-    ids=["sweep-inf-without-no-noise", "phi-batch-over-min-n", "phi-moment-k-zero",
-         "lower-bound-batch-over-n"],
+    ids=["sweep-inf-without-no-noise", "sweep-nan-no-noise", "rnmm-clamp-nan",
+         "phi-batch-over-min-n", "phi-moment-k-zero", "lower-bound-batch-over-n"],
 )
 def test_invalid_input_fails_before_any_run(monkeypatch, tmp_path, command, kw, cause):
     from dpclip.harness import commands
@@ -180,7 +204,8 @@ def test_sweep_no_noise_inf_matches_plain_sgd_oracle(tmp_path):
     assert report.rows[0][3] == pytest.approx(oracle, rel=1e-12, abs=1e-15)
 
 
-def test_sweep_accuracy_metric_with_csv_split(tmp_path):
+def test_sweep_accuracy_metric_with_csv_split(monkeypatch, tmp_path):
+    values = _collect_metrics(monkeypatch)
     rng = np.random.default_rng(41)
     ds = planted_logistic_dataset(150, 3, 2, rng, 0.5, 2.0)
     rows = [
@@ -196,7 +221,7 @@ def test_sweep_accuracy_metric_with_csv_split(tmp_path):
     )
     report = cmd_sweep_clip(spec)
     assert report.metric_kind == "accuracy"
-    assert all(0.0 <= v <= 1.0 for (_, _, _, v) in report.cells)
+    assert len(values) == 2 * 2 and all(0.0 <= v <= 1.0 for v in values)
     # separable data with mild noise should classify most held-out points
     assert report.rows[0][3] >= 0.6
 
@@ -405,11 +430,21 @@ def test_cli_maps_oracle_failures_to_exit_2(monkeypatch, tmp_path):
     assert main(["bias-oracle", "--count", "1", "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # validation error: a sweep needs an output path
     assert main(["sweep-clip", "--synthetic", "planted"]) == 1
-    # validation error: unparseable flag value
+    assert "validation error: an output path is required" in capsys.readouterr().err
+    # usage errors: unparseable flag value, unknown command
     assert main(["bias-oracle", "--count", "xyz", "--out", "b.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dpclip bias-oracle ")
+    assert err.endswith(
+        "\ndpclip bias-oracle: error: argument --count: invalid int value: 'xyz'\n"
+    )
+    assert main(["nosuchcmd"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dpclip ")
+    assert "\ndpclip: error: argument command: invalid choice: 'nosuchcmd'" in err
     # i/o error: missing input dataset
     assert (
         main(
@@ -418,6 +453,31 @@ def test_cli_exit_codes(tmp_path):
         )
         == 3
     )
+
+
+def test_benchmark_hooks_reach_their_layers(tmp_path):
+    # bench/child.py wraps layer functions by name; a renamed or bypassed one
+    # would otherwise break only the traced benchmark
+    root = Path(__file__).resolve().parents[1]
+    report, spans = tmp_path / "report.json", tmp_path / "spans.npz"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    argv = ["sweep-clip", "--synthetic", "planted", "--n", "60", "--dim", "3",
+            "--iterations", "10", "--batch", "10", "--seeds", "0,1",
+            "--eta-grid", "0.3", "--clip-candidates", "p0", "--out", str(tmp_path / "x.csv")]
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "child.py"), str(report),
+         "--spans", str(spans), "--", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text(encoding="utf-8"))["exit_code"] == 0
+    with np.load(spans) as trace:
+        called = set(trace["names"][np.unique(trace["name"])])
+    assert {"optimizer.run_dp_sgd", "optimizer.dp_sgd_step", "clipping.clip_rows",
+            "optimizer.reference_minimum"} <= called
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Tests for the DP-SGD engine, schedules and risk metrics."""
+"""Tests for the DP-SGD engine, schedules and the reference oracle."""
 
 import math
 
@@ -13,12 +13,8 @@ from dpclip.losses import (
     planted_logistic_dataset,
 )
 from dpclip.optimizer import (
-    ConvexRisk,
     DpSgdConfig,
-    NonconvexRisk,
-    RunResult,
     dp_sgd_step,
-    optimization_risk,
     poisson_sample,
     reference_minimum,
     run_dp_sgd,
@@ -164,38 +160,47 @@ def test_run_t1_returns_w0_and_is_deterministic():
     prob = geometric_median_problem(np.array([[1.0, 0.0]]))
     w0 = np.array([0.25, -0.5])
     config = DpSgdConfig(T=1, eta=0.3, tau=1.0, b=1.0, sigma_sq=0.4, w0=w0, seed=7)
-    result = run_dp_sgd(prob, config)
-    assert result.selected_t == 0
-    assert np.array_equal(result.w_priv, w0)
+    w = run_dp_sgd(prob, config)
+    assert np.array_equal(w, w0)
+    assert w is not config.w0
 
     config = DpSgdConfig(T=25, eta=0.3, tau=1.0, b=1.0, sigma_sq=0.4, w0=w0, seed=7)
-    r1 = run_dp_sgd(prob, config, record=True)
-    r2 = run_dp_sgd(prob, config, record=True)
-    assert r1.selected_t == r2.selected_t
-    assert np.array_equal(r1.w_priv, r2.w_priv)
-    for key in ("objective", "grad_norm"):
-        assert np.array_equal(r1.trajectory_stats[key], r2.trajectory_stats[key])
+    assert np.array_equal(run_dp_sgd(prob, config), run_dp_sgd(prob, config))
 
-    # the recorded values are bitwise the separate objective/full_gradient
-    # calls at each iterate, for the fused logistic pass and the fallback
-    rng = np.random.default_rng(2)
-    ds = planted_logistic_dataset(40, 3, 3, rng, 0.5, 4.0).with_bias()
-    logistic = logistic_problem(ds, 3)
-    for prob in (geometric_median_problem(rng.normal(size=(6, 2))), logistic):
+
+@pytest.mark.parametrize("family", ["logistic", "geometric-median", "geometric-median-ball"])
+def test_run_returns_the_selected_iterate_of_the_full_run(family):
+    # the run stops at t̂, yet returns bitwise the t̂-th iterate of all T steps
+    rng = np.random.default_rng(21)
+    if family == "logistic":
+        ds = planted_logistic_dataset(40, 3, 3, rng, 0.5, 4.0).with_bias()
+        prob = logistic_problem(ds, 3)
+    else:
+        domain = Ball(np.full(2, 0.5), 0.75) if family.endswith("ball") else Unconstrained()
+        prob = geometric_median_problem(rng.normal(0, 3, size=(6, 2)), domain=domain)
+    w0 = rng.normal(size=prob.dim)
+    for seed in range(8):
         config = DpSgdConfig(
-            T=25, eta=0.3, tau=1.0, b=3.0, sigma_sq=0.4, w0=np.zeros(prob.dim), seed=7
+            T=25, eta=0.3, tau=1.0, b=3.0, sigma_sq=0.4, w0=w0, seed=seed
         )
-        stats = run_dp_sgd(prob, config, record=True).trajectory_stats
-        step_rng = np.random.default_rng(config.seed)
-        step_rng.integers(config.T)  # the draw of the returned iterate
-        w = config.w0
-        objectives, grad_norms = [], []
-        for _ in range(config.T):
-            objectives.append(prob.objective(w))
-            grad_norms.append(float(np.linalg.norm(prob.full_gradient(w))))
-            w = dp_sgd_step(w, prob, config, step_rng)
-        assert np.array_equal(stats["objective"], objectives)
-        assert np.array_equal(stats["grad_norm"], grad_norms)
+        step_rng = np.random.default_rng(seed)
+        t_hat = int(step_rng.integers(config.T))
+        iterates = [prob.domain.project(w0)]
+        for _ in range(config.T - 1):
+            iterates.append(dp_sgd_step(iterates[-1], prob, config, step_rng))
+        assert np.array_equal(run_dp_sgd(prob, config), iterates[t_hat])
+
+
+def test_run_rejects_a_bad_config_even_when_no_step_runs():
+    # at T = 1, t̂ = 0 and no step is taken, so these checks must come first
+    prob = geometric_median_problem(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    config = DpSgdConfig(T=1, eta=0.3, tau=1.0, b=3.0, sigma_sq=0.4, w0=np.zeros(2))
+    with pytest.raises(ValueError, match="need 0 < b <= n, got b=3.0, n=2"):
+        run_dp_sgd(prob, config)
+    for w0 in (np.zeros(3), np.zeros((2, 1))):
+        config = DpSgdConfig(T=1, eta=0.3, tau=1.0, b=1.0, sigma_sq=0.4, w0=w0)
+        with pytest.raises(ValueError, match=r"w0 must have shape \(2,\)"):
+            run_dp_sgd(prob, config)
 
 
 def _two_call_subgradient_descent(problem, w0, eta, T):
@@ -261,10 +266,14 @@ def test_noiseless_convergence_with_min_lipschitz_clip():
         T=500, eta=3.0, tau=tau, b=float(prob.n), sigma_sq=0.0,
         w0=np.zeros(prob.dim), seed=0,
     )
-    result = run_dp_sgd(prob, config, record=True)
-    objectives = result.trajectory_stats["objective"]
-    assert objectives[-1] < objectives[0]
-    assert objectives[-1] - f_star < 0.05
+    # the last iterate a run can return, w_{T-1}
+    w = config.w0
+    step_rng = np.random.default_rng(config.seed)
+    step_rng.integers(config.T)  # the draw of the returned iterate
+    for _ in range(config.T - 1):
+        w = dp_sgd_step(w, prob, config, step_rng)
+    assert prob.objective(w) < prob.objective(config.w0)
+    assert prob.objective(w) - f_star < 0.05
 
 
 def test_gradient_estimator_unbiased_when_clipping_inactive():
@@ -309,23 +318,6 @@ def test_second_moment_bound():
         / (n**2 * budget.epsilon**2)
     )
     assert second_moment <= bound * 1.02
-
-
-def test_optimization_risk_cases():
-    prob = geometric_median_problem(np.array([[1.0, 1.0]]))
-    minimizer = np.array([1.0, 1.0])
-    runs = [RunResult(w_priv=minimizer, selected_t=0) for _ in range(3)]
-    assert optimization_risk(prob, runs, ConvexRisk(f_star=0.0)) == 0.0
-    assert optimization_risk(prob, runs, NonconvexRisk()) == 0.0
-    single = [RunResult(w_priv=np.array([3.0, 1.0]), selected_t=0)]
-    assert optimization_risk(prob, single, ConvexRisk(f_star=0.0)) == pytest.approx(
-        2.0, rel=1e-12
-    )
-    assert optimization_risk(prob, single, NonconvexRisk()) == pytest.approx(
-        1.0, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        optimization_risk(prob, [], ConvexRisk(0.0))
 
 
 # ---------------------------------------------------------------------------
