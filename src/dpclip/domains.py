@@ -19,7 +19,7 @@ class Ball:
     """L2 ball {w : ||w - center|| <= radius} with radial projection."""
 
     def __init__(self, center: np.ndarray, radius: float):
-        if radius <= 0:
+        if not radius > 0:
             raise ValueError("radius must be positive")
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)

@@ -224,11 +224,13 @@ def cmd_sweep_clip(spec: ExperimentSpec) -> SweepReport:
 
 
 def cmd_rnmm_pipeline(spec: ExperimentSpec) -> dict:
-    """Privately select the minimum Lipschitz constant, then run DP-SGD with it.
+    """Select a small Lipschitz constant by report noisy max, then run DP-SGD with it.
 
     The total budget splits additively: eps_rnmm for selection, the remainder
-    for DP-SGD. Reports the selected clip norm next to the non-private G_min
-    baseline.
+    for DP-SGD. Report noisy max keeps only the selected index private:
+    ``tau_selected`` is that sample's clamped constant, released without
+    noise, and ``tau_oracle`` (the non-private G_min baseline it is reported
+    next to) is not private either.
     """
     if spec.eps_rnmm is None:
         raise SpecValidationError("rnmm-pipeline requires --eps-rnmm")
@@ -317,7 +319,7 @@ def cmd_bias_oracle(spec: ExperimentSpec) -> bool:
     """
     if spec.count < 1:
         raise SpecValidationError("count must be >= 1")
-    if any(p <= 1 for p in spec.p_list):
+    if any(not p > 1 for p in spec.p_list):
         raise SpecValidationError("all moment orders p must exceed 1")
     rng = np.random.default_rng([spec.master_seed, _TAG_BIAS])
     tau_fractions = np.array([0.05, 0.15, 0.3, 0.5, 0.75, 1.0, 1.1])

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,14 +63,14 @@ class Dataset:
 def load_dataset_csv(path, append_bias: bool = False) -> Dataset:
     """Load rows of d floats plus a trailing integer label; header optional.
 
-    Rows are parsed one at a time straight into flat float buffers, so the
-    file is never held as strings. With ``append_bias`` the constant-1
-    coordinate is written into the same buffer, after each row's features.
+    Only the first non-blank records are read with :mod:`csv`, to tell a
+    header from data; numpy's C reader then parses every data row. With
+    ``append_bias`` the label column is overwritten with the constant-1
+    coordinate, so the loaded array is the feature matrix as it stands.
     """
-    feats = array("d")
-    labels_f = array("d")
     with open(path, newline="", encoding="utf-8") as fh:
-        records = (record for record in csv.reader(fh) if record)
+        reader = csv.reader(fh)
+        records = (record for record in reader if record)
         first = next(records, None)
         if first is None:
             raise ValueError(f"empty dataset file: {path}")
@@ -82,22 +80,21 @@ def load_dataset_csv(path, append_bias: bool = False) -> Dataset:
             first = next(records, None)  # header row
             if first is None:
                 raise ValueError(f"dataset file has a header but no rows: {path}")
-        width = len(first)
-        if width < 2:
-            raise ValueError("rows must contain at least one feature and a label")
-        for i, record in enumerate(itertools.chain([first], records)):
-            if len(record) != width:
-                raise ValueError(f"row {i} has {len(record)} fields, expected {width}")
-            feats.extend([float(tok) for tok in record])
-            labels_f.append(feats.pop())
-            if append_bias:
-                feats.append(1.0)
-    labels_arr = np.frombuffer(labels_f)
-    labels = labels_arr.astype(int)
-    if np.any(labels_arr != labels):
+        skiprows = reader.line_num - 1  # lines before the first data row, blank ones too
+    if len(first) < 2:
+        raise ValueError("rows must contain at least one feature and a label")
+    data = np.loadtxt(
+        path, delimiter=",", skiprows=skiprows, ndmin=2, comments=None,
+        quotechar='"', encoding="utf-8",
+    )
+    labels = data[:, -1].astype(int)
+    if np.any(data[:, -1] != labels):
         raise ValueError("trailing column must hold integer labels")
-    features = np.frombuffer(feats).reshape(labels.size, width - 1 + append_bias)
-    return Dataset(features, labels, append_bias)
+    if append_bias:
+        data[:, -1] = 1.0
+    else:
+        data = np.ascontiguousarray(data[:, :-1])
+    return Dataset(data, labels, append_bias)
 
 
 @dataclass

@@ -39,14 +39,14 @@ class DpSgdConfig:
         self.w0 = np.asarray(self.w0, dtype=float)
         if self.T < 1:
             raise ValueError("T must be >= 1")
-        if self.eta < 0:
+        if not self.eta >= 0:
             # eta = 0 is allowed as a degenerate no-op step
             raise ValueError("eta must be nonnegative")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         if not self.b > 0:
             raise ValueError("expected batch size must be positive")
-        if self.sigma_sq < 0:
+        if not self.sigma_sq >= 0:
             raise ValueError("sigma_sq must be nonnegative")
 
 

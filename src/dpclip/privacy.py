@@ -48,7 +48,7 @@ class NoiseSpec:
     dimension: int
 
     def __post_init__(self):
-        if self.sigma_sq < 0:
+        if not self.sigma_sq >= 0:
             raise ValueError(f"sigma_sq must be nonnegative, got {self.sigma_sq}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")

@@ -153,9 +153,11 @@ def test_best_eta_skips_nan_means(monkeypatch, tmp_path, capsys):
          "k must exceed 1"),
         ("lower-bound-demo", dict(synthetic=None, dim=2, n=10, batch=50.0),
          "exceeds n=10"),
+        ("bias-oracle", dict(p_list=(2.0, math.nan)), "all moment orders p must exceed 1"),
     ],
     ids=["sweep-inf-without-no-noise", "sweep-nan-no-noise", "rnmm-clamp-nan",
-         "phi-batch-over-min-n", "phi-moment-k-zero", "lower-bound-batch-over-n"],
+         "phi-batch-over-min-n", "phi-moment-k-zero", "lower-bound-batch-over-n",
+         "bias-oracle-p-nan"],
 )
 def test_invalid_input_fails_before_any_run(monkeypatch, tmp_path, command, kw, cause):
     from dpclip.harness import commands
@@ -163,7 +165,8 @@ def test_invalid_input_fails_before_any_run(monkeypatch, tmp_path, command, kw, 
     def never(*args, **kwargs):
         raise AssertionError("expensive work ran before validation")
 
-    for name in ("reference_minimum", "run_dp_sgd", "_verify_hard_instance"):
+    for name in ("reference_minimum", "run_dp_sgd", "_verify_hard_instance",
+                 "clipping_bias_exact"):
         monkeypatch.setattr(commands, name, never)
     out = tmp_path / "x.csv"
     with pytest.raises(SpecValidationError, match=cause):

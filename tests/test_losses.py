@@ -1,5 +1,6 @@
 """Tests for the objective families and synthetic generators."""
 
+import csv
 import math
 
 import numpy as np
@@ -94,10 +95,14 @@ def test_csv_loader_errors(tmp_path):
         ("\n\n", "empty dataset file"),
         ("x1,x2,label\n\n", "dataset file has a header but no rows"),
         ("a\n1.0\n", "rows must contain at least one feature and a label"),
-        ("x1,x2,label\n1.0,2.0,0\n\n3.0,4.0,1\n1.0,1\n", "row 2 has 2 fields, expected 3"),
+        ("x1,x2,label\n1.0,2.0,0\n\n3.0,4.0,1\n1.0,1\n",
+         "the number of columns changed from 3 to 2 at row 3"),
+        ("x1,x2,label\n1.0,2.0,0\n3.0,abc,1\n", r"'abc' to float64 at row \d+, column 2"),
+        ("1.0,2.0,0\n3.0,4.0,1 # note\n", r"'1 # note' to float64 at row \d+, column 3"),
         ("1.0,2.0,0\n1.0,2.0,0.5\n", "trailing column must hold integer labels"),
     ],
-    ids=["empty", "header-only", "one-field", "ragged", "non-integer-label"],
+    ids=["empty", "header-only", "one-field", "ragged", "non-numeric", "hash-not-a-comment",
+         "non-integer-label"],
 )
 def test_csv_loader_error_messages(tmp_path, text, message):
     path = tmp_path / "data.csv"
@@ -105,6 +110,57 @@ def test_csv_loader_error_messages(tmp_path, text, message):
     for append_bias in (False, True):
         with pytest.raises(ValueError, match=message):
             load_dataset_csv(path, append_bias=append_bias)
+
+
+def _python_parse(path, append_bias):
+    """Reference parse: csv records, float() per token, blank records skipped."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = [record for record in csv.reader(fh) if record]
+    try:
+        [float(tok) for tok in records[0]]
+    except ValueError:
+        records = records[1:]  # header row
+    values = np.array([[float(tok) for tok in record] for record in records])
+    features = values[:, :-1]
+    if append_bias:
+        features = np.hstack([features, np.ones((len(values), 1))])
+    return features, values[:, -1].astype(int)
+
+
+def _csv_texts():
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-6, 7, size=(40, 3))
+    X[0, 0] = -0.0
+    y = rng.integers(0, 4, size=40).tolist()
+    reprs = [[repr(v) for v in x] + [str(c)] for x, c in zip(X.tolist(), y)]
+    g9 = [[f"{v:.9g}" for v in x] + [str(c)] for x, c in zip(X.tolist(), y)]
+
+    def lines(rows, sep=","):
+        return [sep.join(row) for row in rows]
+
+    return {
+        "repr-header": "x1,x2,x3,label\n" + "\n".join(lines(reprs)) + "\n",
+        "g9-headerless": "\n".join(lines(g9)) + "\n",
+        "blank-lines": "\n\nx1,x2,x3,label\n\n" + "\n\n".join(lines(reprs[:6])) + "\n\n",
+        "crlf": "\r\nx1,x2,x3,label\r\n" + "\r\n\r\n".join(lines(g9[:6])) + "\r\n",
+        "spaces": "\n".join(f" {line} " for line in lines(reprs[:6], " , ")),
+        "quoted": "\n".join(f'"{line}"' for line in lines(g9[:6], '","')) + "\n",
+        "one-row": ",".join(reprs[1]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_csv_texts()))
+def test_csv_loader_matches_python_parse(tmp_path, name):
+    path = tmp_path / "data.csv"
+    path.write_bytes(_csv_texts()[name].encode("utf-8"))
+    for append_bias in (False, True):
+        ds = load_dataset_csv(path, append_bias=append_bias)
+        features, labels = _python_parse(path, append_bias)
+        assert ds.bias_appended == append_bias
+        assert ds.features.flags.c_contiguous
+        assert ds.features.shape == features.shape
+        assert ds.features.tobytes() == features.tobytes()
+        assert np.array_equal(ds.labels, labels)
 
 
 def test_csv_loader_bias_path_matches_with_bias(tmp_path):

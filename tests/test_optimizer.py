@@ -51,6 +51,9 @@ def test_config_validation():
         _config(b=0.0)
     with pytest.raises(ValueError):
         _config(sigma_sq=-1.0)
+    for field in ("eta", "sigma_sq"):
+        with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
+            _config(**{field: math.nan})
 
 
 def test_poisson_sample_edges():
@@ -120,6 +123,9 @@ def test_ball_projection_examples():
     assert np.allclose(ball.project(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
     inside = np.array([0.3, -0.1])
     assert np.array_equal(ball.project(inside), inside)
+    for radius in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            Ball(np.zeros(2), radius)
 
 
 def test_step_projects_radially_onto_ball():

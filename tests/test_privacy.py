@@ -28,6 +28,8 @@ def test_budget_validation(epsilon, delta, nu):
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(-1.0, 3)
+    with pytest.raises(ValueError, match="sigma_sq must be nonnegative, got nan"):
+        NoiseSpec(math.nan, 3)
     with pytest.raises(ValueError):
         NoiseSpec(1.0, 0)
 

@@ -1,0 +1,14 @@
+"""The README's python example runs against the current library API."""
+
+import math
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
+    assert math.isfinite(float(capsys.readouterr().out))
