@@ -121,14 +121,18 @@ def _sigma_sq_for(spec: ExperimentSpec, tau: float, problem: Problem) -> float:
     ).sigma_sq
 
 
-def _run_seeds(
+def _run_cells(
     problem: Problem, test: Dataset | None, f_star: float | None,
-    spec: ExperimentSpec, tau: float, eta: float, sigma_sq: float,
-) -> list[float]:
-    """One DP-SGD run from the origin per spec seed; returns each run's metric."""
-    metrics = []
-    for seed in spec.seeds:
-        config = DpSgdConfig(
+    spec: ExperimentSpec, cells: list[tuple[float, float, float]],
+) -> list[list[float]]:
+    """Each (tau, eta, sigma_sq) cell's metrics, one DP-SGD run from the origin
+    per spec seed.
+
+    Every run of every cell goes into one ``run_dp_sgd`` call, so the cells
+    share each seed's batches and noise.
+    """
+    configs = [
+        DpSgdConfig(
             T=spec.iterations,
             eta=eta,
             tau=tau,
@@ -137,19 +141,21 @@ def _run_seeds(
             w0=np.zeros(problem.dim),
             seed=seed,
         )
-        w = run_dp_sgd(problem, config)
-        metrics.append(_metric_value(problem, test, f_star, w))
-    return metrics
+        for tau, eta, sigma_sq in cells
+        for seed in spec.seeds
+    ]
+    metrics = [_metric_value(problem, test, f_star, w) for w in run_dp_sgd(problem, configs)]
+    k = len(spec.seeds)
+    return [metrics[i : i + k] for i in range(0, len(metrics), k)]
 
 
 def _best_over_eta(
-    problem: Problem, test: Dataset | None, f_star: float | None,
-    spec: ExperimentSpec, tau: float, sigma_sq: float,
+    test: Dataset | None, spec: ExperimentSpec, tau: float, per_eta: list[list[float]]
 ) -> tuple[float, float, float]:
-    """Run the eta grid x seeds at one clip norm; return the best eta's stats."""
+    """The best eta's (eta, mean, std) from each eta's per-seed metrics at one clip norm."""
     stats = []
-    for eta in spec.eta_grid:
-        arr = np.array(_run_seeds(problem, test, f_star, spec, tau, eta, sigma_sq))
+    for eta, metrics in zip(spec.eta_grid, per_eta):
+        arr = np.array(metrics)
         stats.append((eta, float(arr.mean()), float(arr.std())))
     # max keeps the first of equal means; NaN means never compare, so drop them
     scored = [s for s in stats if not math.isnan(s[1])]
@@ -170,9 +176,16 @@ def _sweep(
     """
     sigma_sqs = [_sigma_sq_for(spec, tau, problem) for tau in taus]
     f_star = None if test is not None else _reference(problem, spec)[1]
-    return [
-        _best_over_eta(problem, test, f_star, spec, tau, sigma_sq)
+    cells = [
+        (tau, eta, sigma_sq)
         for tau, sigma_sq in zip(taus, sigma_sqs)
+        for eta in spec.eta_grid
+    ]
+    per_cell = _run_cells(problem, test, f_star, spec, cells)
+    k = len(spec.eta_grid)
+    return [
+        _best_over_eta(test, spec, tau, per_cell[i * k : (i + 1) * k])
+        for i, tau in enumerate(taus)
     ]
 
 
@@ -304,7 +317,7 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
         )
         sigma_sq = _sigma_sq_for(spec, tau, problem)
         _, f_star = _reference(problem, spec)
-        risks = _run_seeds(problem, None, f_star, spec, tau, eta, sigma_sq)
+        (risks,) = _run_cells(problem, None, f_star, spec, [(tau, eta, sigma_sq)])
         rows.append([n, phi, k, float(np.median(risks))])
     write_csv(spec.out, ["n", "phi", "k", "median_risk"], rows)
     print(f"phi-scaling: {len(rows)} dataset sizes -> {spec.out}")
@@ -400,7 +413,7 @@ def cmd_lower_bound_demo(spec: ExperimentSpec) -> list[list]:
         g, spec.gamma, spec.growth_c, spec.iterations, phi, k
     )
     sigma_sq = _sigma_sq_for(spec, tau, problem)
-    risks = _run_seeds(problem, None, f_star, spec, tau, eta, sigma_sq)
+    (risks,) = _run_cells(problem, None, f_star, spec, [(tau, eta, sigma_sq)])
     rows = [[seed, risk, phi_scale, 0] for seed, risk in zip(spec.seeds, risks)]
     write_csv(spec.out, ["seed", "risk", "phi_power_scale", "degenerate"], rows)
     print(

@@ -223,6 +223,9 @@ def per_sample_lipschitz_logistic(x: np.ndarray) -> float:
     return float(math.sqrt(2.0) * math.sqrt(float(x @ x) + 1.0))
 
 
+_ROW_BLOCK = 4096  # rows per block of the row-norm pass
+
+
 def logistic_problem(
     dataset: Dataset,
     num_classes: int | None = None,
@@ -242,9 +245,16 @@ def logistic_problem(
         raise ValueError("at least two classes required")
     if int(y.max()) >= m:
         raise ValueError("labels exceed the declared number of classes")
-    # the features are finite, but a row norm can still overflow
+    # the features are finite, but a row norm can still overflow. One block of
+    # rows is squared at a time, so the n x d square is never held whole; each
+    # block uses the expression np.linalg.norm(X, axis=1) evaluates, so the
+    # norms are bitwise its norms
+    row_norms = np.empty(n)
     with np.errstate(over="ignore"):
-        lipschitz = math.sqrt(2.0) * np.linalg.norm(X, axis=1)
+        for start in range(0, n, _ROW_BLOCK):
+            Xb = X[start : start + _ROW_BLOCK]
+            row_norms[start : start + _ROW_BLOCK] = np.sqrt(np.add.reduce(Xb * Xb, axis=1))
+    lipschitz = math.sqrt(2.0) * row_norms
     bad = ~np.isfinite(lipschitz)
     if np.any(bad):
         raise ValueError(
@@ -260,11 +270,12 @@ def logistic_problem(
         return lse - z[np.arange(len(idx)), y[idx]]
 
     def batch_grad(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        logits = X[idx] @ w.reshape(m, d).T
+        Xb = X[idx]
+        logits = Xb @ w.reshape(m, d).T
         z = np.exp(logits - logits.max(axis=1, keepdims=True))
         p = z / z.sum(axis=1, keepdims=True)
         p[np.arange(len(idx)), y[idx]] -= 1.0
-        return np.einsum("bm,bd->bmd", p, X[idx]).reshape(len(idx), m * d)
+        return np.einsum("bm,bd->bmd", p, Xb).reshape(len(idx), m * d)
 
     onehot_at = np.arange(n) * m + y  # flat index of each row's true-class entry
 

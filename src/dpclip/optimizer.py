@@ -25,6 +25,10 @@ class DpSgdConfig:
     smaller or empty. ``sigma_sq`` is the per-coordinate noise variance
     (typically from :func:`dpclip.privacy.noise_variance`). Iterates are
     projected onto the domain of the :class:`Problem` being solved.
+
+    ``seed``, ``T``, ``b`` and whether ``sigma_sq > 0`` fix the random
+    stream of a run; :func:`run_dp_sgd` groups configs that agree on these
+    four and lets each group share its draws.
     """
 
     T: int
@@ -62,42 +66,81 @@ def poisson_sample(n: int, b: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def dp_sgd_step(
-    w: np.ndarray,
+    w: np.ndarray | list[np.ndarray],
     problem: Problem,
-    config: DpSgdConfig,
+    config: DpSgdConfig | list[DpSgdConfig],
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> np.ndarray | list[np.ndarray]:
     """One update: sample, clip, average by the fixed b, noise, step, project.
+
+    Given a list of iterates and a list of configs, it steps each iterate
+    with its config and returns the list of updates. The configs then share
+    one batch and one standard normal draw z, so they must agree on ``b``
+    and on whether ``sigma_sq > 0``; each adds its own ``sqrt(sigma_sq) * z``,
+    which is bitwise the draw ``rng.normal(0, sqrt(sigma_sq), dim)`` a single
+    config makes.
 
     An empty Poisson batch has ``(0, dim)`` gradients whose clipped sum is the
     zero vector, so it contributes noise only. With sigma_sq = 0 no noise is
     drawn, so the step is bit-reproducible against plain (sub)gradient descent
     when clipping is inactive and b = n.
     """
-    batch = poisson_sample(problem.n, config.b, rng)
-    g = clip_rows(problem.grads_at(w, batch), config.tau).sum(axis=0) / config.b
-    if config.sigma_sq > 0:
-        g = g + gaussian_noise(NoiseSpec(config.sigma_sq, problem.dim), rng)
-    return problem.domain.project(w - config.eta * g)
+    one = isinstance(config, DpSgdConfig)
+    ws, configs = ([w], [config]) if one else (w, config)
+    b, noisy = configs[0].b, configs[0].sigma_sq > 0
+    if any(c.b != b or (c.sigma_sq > 0) != noisy for c in configs):
+        raise ValueError("configs stepped together must share b and whether sigma_sq > 0")
+    batch = poisson_sample(problem.n, b, rng)
+    z = gaussian_noise(NoiseSpec(1.0, problem.dim), rng) if noisy else None
+    out = []
+    for w_c, c in zip(ws, configs):
+        g = clip_rows(problem.grads_at(w_c, batch), c.tau).sum(axis=0) / b
+        if z is not None:
+            # 0.0 + scale * z is how numpy's normal(loc=0.0, scale) forms a draw
+            g = g + (0.0 + math.sqrt(c.sigma_sq) * z)
+        out.append(problem.domain.project(w_c - c.eta * g))
+    return out[0] if one else out
 
 
-def run_dp_sgd(problem: Problem, config: DpSgdConfig) -> np.ndarray:
+def run_dp_sgd(
+    problem: Problem, config: DpSgdConfig | list[DpSgdConfig]
+) -> np.ndarray | list[np.ndarray]:
     """Return the t̂-th iterate of T steps from w0, t̂ uniform on {0..T-1}.
 
     t̂ is drawn first, so the run stops after t̂ steps: no later step can
     change the output, and the noise is still calibrated for all T. Fully
     deterministic given the seed; the result is never ``config.w0`` itself.
     The checks a step would make run first, so they hold even when t̂ = 0.
+
+    Given a sequence of configs, it returns their iterates in input order,
+    each bitwise what the config gives alone. Configs with equal
+    ``(seed, T, b, sigma_sq > 0)`` draw the same stream, so they form one
+    group: one generator, one t̂, and one batch and noise draw per step,
+    shared by the group's iterates as they are stepped together. Every
+    config is checked before any draw.
     """
-    if config.w0.shape != (problem.dim,):
-        raise ValueError(f"w0 must have shape ({problem.dim},), got {config.w0.shape}")
-    _check_batch(problem.n, config.b)
-    rng = np.random.default_rng(config.seed)
-    t_hat = int(rng.integers(config.T))
-    w = problem.domain.project(config.w0.copy())
-    for _ in range(t_hat):
-        w = dp_sgd_step(w, problem, config, rng)
-    return w
+    one = isinstance(config, DpSgdConfig)
+    configs = [config] if one else list(config)
+    if not configs:
+        raise ValueError("need at least one config")
+    for c in configs:
+        if c.w0.shape != (problem.dim,):
+            raise ValueError(f"w0 must have shape ({problem.dim},), got {c.w0.shape}")
+        _check_batch(problem.n, c.b)
+    groups: dict[tuple, list[int]] = {}
+    for i, c in enumerate(configs):
+        groups.setdefault((c.seed, c.T, c.b, c.sigma_sq > 0), []).append(i)
+    out = [None] * len(configs)
+    for (seed, T, _, _), members in groups.items():
+        group = [configs[i] for i in members]
+        rng = np.random.default_rng(seed)
+        t_hat = int(rng.integers(T))
+        ws = [problem.domain.project(c.w0.copy()) for c in group]
+        for _ in range(t_hat):
+            ws = dp_sgd_step(ws, problem, group, rng)
+        for i, w in zip(members, ws):
+            out[i] = w
+    return out[0] if one else out
 
 
 # ---------------------------------------------------------------------------

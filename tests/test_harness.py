@@ -207,6 +207,38 @@ def test_sweep_no_noise_inf_matches_plain_sgd_oracle(tmp_path):
     assert report.rows[0][3] == pytest.approx(oracle, rel=1e-12, abs=1e-15)
 
 
+def test_sweep_shares_draws_and_writes_the_bytes_of_one_run_per_call(monkeypatch, tmp_path):
+    # every (tau, eta, seed) run goes into one run_dp_sgd call, where runs of
+    # a seed share their draws; at tau = 1e-200 sigma_sq underflows to 0, so
+    # those runs draw no noise next to the noisy runs of the same seeds
+    from dpclip.harness import commands
+
+    argv = ["sweep-clip", "--synthetic", "planted", "--n", "600", "--dim", "4",
+            "--iterations", "30", "--batch", "100", "--epsilon", "0.5",
+            "--seeds", "0,1,2,0", "--eta-grid", "0.1,0.3,1.0",
+            "--clip-candidates", "1e-200,p0,p100"]
+    run = commands.run_dp_sgd
+    calls = []
+
+    def grid(problem, configs):
+        calls.append(configs)
+        return run(problem, configs)
+
+    monkeypatch.setattr(commands, "run_dp_sgd", grid)
+    grouped, alone = tmp_path / "grouped.csv", tmp_path / "alone.csv"
+    assert main(argv + ["--out", str(grouped)]) == 0
+    (configs,) = calls
+    assert len(configs) == 3 * 3 * 4
+    sigma_sqs = sorted({c.sigma_sq for c in configs})
+    assert len(sigma_sqs) == 3 and sigma_sqs[0] == 0.0
+
+    monkeypatch.setattr(
+        commands, "run_dp_sgd", lambda problem, configs: [run(problem, c) for c in configs]
+    )
+    assert main(argv + ["--out", str(alone)]) == 0
+    assert grouped.read_bytes() == alone.read_bytes()
+
+
 def test_sweep_accuracy_metric_with_csv_split(monkeypatch, tmp_path):
     values = _collect_metrics(monkeypatch)
     rng = np.random.default_rng(41)
@@ -479,7 +511,8 @@ def test_benchmark_hooks_reach_their_layers(tmp_path):
     assert json.loads(report.read_text(encoding="utf-8"))["exit_code"] == 0
     with np.load(spans) as trace:
         called = set(trace["names"][np.unique(trace["name"])])
-    assert {"optimizer.run_dp_sgd", "optimizer.dp_sgd_step", "clipping.clip_rows",
+    assert {"optimizer.run_dp_sgd", "optimizer.dp_sgd_step", "optimizer.poisson_sample",
+            "clipping.clip_rows", "privacy.gaussian_noise", "losses.grads_at",
             "optimizer.reference_minimum"} <= called
 
 

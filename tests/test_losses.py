@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dpclip import losses
 from dpclip.losses import (
     Dataset,
     Problem,
@@ -319,6 +320,27 @@ def test_logistic_problem_batch_consistency():
         assert prob.grads_at(np.zeros(prob.dim), []).shape == (0, prob.dim)
     assert np.allclose(
         cases[0][0].lipschitz, math.sqrt(2.0) * np.linalg.norm(ds.features, axis=1)
+    )
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_logistic_row_norms_are_bitwise_linalg_norm_across_blocks(order):
+    # the row norms are taken block by block; n spans several blocks
+    n = 2 * losses._ROW_BLOCK + 5
+    rng = np.random.default_rng(37)
+    features = rng.normal(size=(n, 21)) * rng.pareto(2.0, size=(n, 1))
+    ds = Dataset(np.asarray(features, order=order), rng.integers(0, 3, n))
+    expected = math.sqrt(2.0) * np.linalg.norm(ds.features, axis=1)
+    assert np.array_equal(logistic_problem(ds, 3).lipschitz, expected)
+
+    # an overflowing row in a later block is named as before, without a warning
+    features[n - 2] = 1e308
+    ds = Dataset(np.asarray(features, order=order), ds.labels)
+    with pytest.raises(ValueError) as err:
+        logistic_problem(ds, 3)
+    assert str(err.value) == (
+        f"the Lipschitz constant of row {n - 2} overflows;"
+        " per-sample Lipschitz constants must be finite"
     )
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dpclip.clipping import clip_rows
 from dpclip.domains import Ball, Unconstrained
 from dpclip.losses import (
     geometric_median_problem,
@@ -207,6 +208,83 @@ def test_run_rejects_a_bad_config_even_when_no_step_runs():
         config = DpSgdConfig(T=1, eta=0.3, tau=1.0, b=1.0, sigma_sq=0.4, w0=w0)
         with pytest.raises(ValueError, match=r"w0 must have shape \(2,\)"):
             run_dp_sgd(prob, config)
+
+
+def _one_run(prob, config):
+    # reference: one run alone, written out from the numpy draws it makes
+    rng = np.random.default_rng(config.seed)
+    t_hat = int(rng.integers(config.T))
+    w = prob.domain.project(config.w0.copy())
+    for _ in range(t_hat):
+        batch = np.flatnonzero(rng.random(prob.n) < config.b / prob.n)
+        g = clip_rows(prob.grads_at(w, batch), config.tau).sum(axis=0) / config.b
+        if config.sigma_sq > 0:
+            g = g + rng.normal(0.0, math.sqrt(config.sigma_sq), size=prob.dim)
+        w = prob.domain.project(w - config.eta * g)
+    return w
+
+
+@pytest.mark.parametrize("family", ["logistic", "geometric-median-ball"])
+def test_run_of_a_config_list_is_bitwise_each_run_alone(family):
+    # configs that share a seed share their draws; each result must still be
+    # exactly the run of its config alone, returned in input order
+    rng = np.random.default_rng(41)
+    if family == "logistic":
+        ds = planted_logistic_dataset(50, 3, 3, rng, 0.5, 4.0).with_bias()
+        prob = logistic_problem(ds, 3)
+    else:
+        prob = geometric_median_problem(
+            rng.normal(0, 3, size=(30, 2)), domain=Ball(np.full(2, 0.5), 0.75)
+        )
+    w0s = [np.zeros(prob.dim), rng.normal(size=prob.dim)]
+    runs = [(4, 30, 5.0), (9, 30, 5.0), (4, 17, 5.0), (4, 30, 11.0), (4, 30, 5.0)]
+    cells = [(0.3, 1.0, 0.4, 0), (0.1, 0.5, 0.0, 1), (0.3, 2.0, 0.0, 0), (0.05, 0.5, 2.5, 1)]
+    configs = [
+        DpSgdConfig(T=T, eta=eta, tau=tau, b=b, sigma_sq=sigma_sq, w0=w0s[k], seed=seed)
+        for seed, T, b in runs
+        for eta, tau, sigma_sq, k in cells
+    ]
+    order = rng.permutation(len(configs))
+    configs = [configs[i] for i in order]
+    results = run_dp_sgd(prob, configs)
+    assert len(results) == len(configs)
+    moved = 0
+    for w, config in zip(results, configs):
+        alone = _one_run(prob, config)
+        assert np.array_equal(w, alone)
+        assert np.array_equal(run_dp_sgd(prob, config), alone)
+        assert all(w is not c.w0 for c in configs)
+        moved += not np.array_equal(w, prob.domain.project(config.w0))
+    assert moved > len(configs) // 2
+
+
+def test_run_of_a_config_list_checks_every_config_before_any_draw(monkeypatch):
+    prob = geometric_median_problem(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    good = DpSgdConfig(T=5, eta=0.3, tau=1.0, b=1.0, sigma_sq=0.4, w0=np.zeros(2))
+    bad_b = DpSgdConfig(T=5, eta=0.3, tau=1.0, b=3.0, sigma_sq=0.4, w0=np.zeros(2))
+    bad_w0 = DpSgdConfig(T=5, eta=0.3, tau=1.0, b=1.0, sigma_sq=0.4, w0=np.zeros(3))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a generator was opened before every config was checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", never)
+        with pytest.raises(ValueError, match="need 0 < b <= n, got b=3.0, n=2"):
+            run_dp_sgd(prob, [good, good, bad_b])
+        with pytest.raises(ValueError, match=r"w0 must have shape \(2,\)"):
+            run_dp_sgd(prob, [good, bad_w0])
+        with pytest.raises(ValueError, match="at least one config"):
+            run_dp_sgd(prob, [])
+
+    # a step shares one batch and one noise draw, so its configs must agree
+    other_b = DpSgdConfig(T=5, eta=0.3, tau=1.0, b=2.0, sigma_sq=0.4, w0=np.zeros(2))
+    no_noise = DpSgdConfig(T=5, eta=0.3, tau=1.0, b=1.0, sigma_sq=0.0, w0=np.zeros(2))
+    for mismatched in (other_b, no_noise):
+        with pytest.raises(ValueError, match="must share b and whether sigma_sq > 0"):
+            dp_sgd_step(
+                [np.zeros(2), np.zeros(2)], prob, [good, mismatched],
+                np.random.default_rng(0),
+            )
 
 
 def _two_call_subgradient_descent(problem, w0, eta, T):
