@@ -13,7 +13,12 @@ import numpy as np
 
 from .clipping import clip_rows
 from .losses import Problem
+from .parallel import fork_map
 from .privacy import NoiseSpec, PrivacyRegimeWarning, gaussian_noise
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -28,7 +33,9 @@ class DpSgdConfig:
 
     ``seed``, ``T``, ``b`` and whether ``sigma_sq > 0`` fix the random
     stream of a run; :func:`run_dp_sgd` groups configs that agree on these
-    four and lets each group share its draws.
+    four and lets each group share its draws. So ``T`` must be an integer
+    >= 1 and ``seed`` a nonnegative integer (numpy integers included): a
+    missing seed would draw from OS entropy.
     """
 
     T: int
@@ -41,8 +48,10 @@ class DpSgdConfig:
 
     def __post_init__(self):
         self.w0 = np.asarray(self.w0, dtype=float)
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        if not _is_int(self.T) or self.T < 1:
+            raise ValueError(f"T must be an integer >= 1, got {self.T!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not self.eta >= 0:
             # eta = 0 is allowed as a degenerate no-op step
             raise ValueError("eta must be nonnegative")
@@ -118,6 +127,11 @@ def run_dp_sgd(
     group: one generator, one t̂, and one batch and noise draw per step,
     shared by the group's iterates as they are stepped together. Every
     config is checked before any draw.
+
+    The groups run through :func:`dpclip.parallel.fork_map`, balanced on
+    t̂ × group size. Each group's generator is opened and its t̂ drawn here,
+    before any fork, so the results are bitwise the same on any number of
+    CPUs.
     """
     one = isinstance(config, DpSgdConfig)
     configs = [config] if one else list(config)
@@ -130,14 +144,22 @@ def run_dp_sgd(
     groups: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
         groups.setdefault((c.seed, c.T, c.b, c.sigma_sq > 0), []).append(i)
-    out = [None] * len(configs)
+    tasks = []
     for (seed, T, _, _), members in groups.items():
-        group = [configs[i] for i in members]
         rng = np.random.default_rng(seed)
-        t_hat = int(rng.integers(T))
+        tasks.append((members, rng, int(rng.integers(T))))
+
+    def run_group(task):
+        members, rng, t_hat = task
+        group = [configs[i] for i in members]
         ws = [problem.domain.project(c.w0.copy()) for c in group]
         for _ in range(t_hat):
             ws = dp_sgd_step(ws, problem, group, rng)
+        return ws
+
+    out = [None] * len(configs)
+    weights = [t_hat * len(members) for members, _, t_hat in tasks]
+    for (members, _, _), ws in zip(tasks, fork_map(run_group, tasks, weights)):
         for i, w in zip(members, ws):
             out[i] = w
     return out[0] if one else out
@@ -292,12 +314,14 @@ def reference_minimum(
 
     Used to estimate f* (and a minimizer) for risk reporting; run it with a
     generous iteration budget relative to the private runs it calibrates.
+    The step sizes run through :func:`dpclip.parallel.fork_map`; the first
+    strictly lowest value, in the order of ``etas``, wins.
     """
     if not etas:
         raise ValueError("etas must be nonempty")
+    runs = fork_map(lambda eta: subgradient_descent(problem, w0, eta, T), etas)
     best_w, best_f = None, math.inf
-    for eta in etas:
-        w, f = subgradient_descent(problem, w0, eta, T)
+    for w, f in runs:
         if f < best_f:
             best_w, best_f = w, f
     return best_w, best_f

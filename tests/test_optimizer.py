@@ -55,6 +55,14 @@ def test_config_validation():
     for field in ("eta", "sigma_sq"):
         with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
             _config(**{field: math.nan})
+    # T and seed fix a run's stream, so they must be exact integers up front
+    with pytest.raises(ValueError, match=r"T must be an integer >= 1, got 2\.5"):
+        _config(T=2.5)
+    for seed in (None, -1, 1.5):
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed}"):
+            _config(seed=seed)
+    config = _config(T=np.int64(3), seed=np.uint32(4))
+    assert (config.T, config.seed) == (3, 4)
 
 
 def test_poisson_sample_edges():
