@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Literal, get_args, get_origin
 
 from .commands import COMMANDS
-from .spec import ExperimentSpec, OracleFailure, SpecValidationError
+from .spec import ExperimentSpec, OracleFailure, SpecValidationError, field_type
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,129 +39,102 @@ def _tokens(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
-def _add_output(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", help="output CSV path")
-    sub.add_argument("--config", help="JSON file with spec fields (flags win)")
-    sub.add_argument("--master-seed", type=int, dest="master_seed")
+_TUPLE_PARSERS = {int: _ints, float: _floats, str: _tokens}
+
+# the flags of each command, in --help order; every name but "config" is an
+# ExperimentSpec field, whose annotation gives the flag its type
+_OUTPUT = ("out", "config", "master_seed")
+_DP_SGD = ("seeds", "epsilon", "delta", "nu", "iterations", "batch", "no_noise")
+_SYNTHETIC = ("append_bias", "synthetic", "dim", "classes", "tail_k")
+_DATASET = (*_SYNTHETIC, "csv", "test_csv", "n", "norm_low", "norm_high")
+# of the dataset fields, a --csv dataset reads only these
+_CSV_READS = {"csv", "test_csv", "append_bias"}
+
+COMMAND_FIELDS = {
+    "sweep-clip": (*_OUTPUT, *_DP_SGD, "eta_grid", *_DATASET, "clip_candidates"),
+    "rnmm-pipeline": (*_OUTPUT, *_DP_SGD, "eta_grid", *_DATASET, "eps_rnmm", "rnmm_clamp"),
+    # the step size comes from the schedule, and the data is always heavy-tailed
+    # synthetic; eta_grid and synthetic are still accepted so existing
+    # invocations keep working
+    "phi-scaling": (
+        *_OUTPUT, *_DP_SGD, "eta_grid", *_SYNTHETIC, "n_list", "moment_k", "gamma", "growth_c"
+    ),
+    "bias-oracle": (*_OUTPUT, "count", "p_list"),
+    "lower-bound-demo": (
+        *_OUTPUT, *_DP_SGD, "dim", "n", "qv_p", "moment_k", "gamma", "growth_c"
+    ),
+}
+
+_HELP = {
+    "sweep-clip": "clip-norm sweep with eta tuning",
+    "rnmm-pipeline": "private G_min selection then DP-SGD",
+    "phi-scaling": "risk vs dataset size study",
+    "bias-oracle": "clipping-bias bound chain checks",
+    "lower-bound-demo": "two-atom hard instance demo",
+    "out": "output CSV path",
+    "config": "JSON file with spec fields (flags win)",
+    "seeds": "comma-separated run seeds",
+    "iterations": "DP-SGD steps T",
+    "batch": "expected batch size b",
+    "no_noise": "force sigma^2 = 0 (non-private debugging runs)",
+    "csv": "training CSV: d floats then an integer label",
+    "test_csv": "held-out CSV for accuracy",
+    "clip_candidates": 'comma list of "pQ" percentiles, absolute values or "inf"',
+}
 
 
-def _add_dp_sgd(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seeds", type=_ints, help="comma-separated run seeds")
-    sub.add_argument("--epsilon", type=float)
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--nu", type=float)
-    sub.add_argument("--iterations", type=int, help="DP-SGD steps T")
-    sub.add_argument("--batch", type=float, help="expected batch size b")
-    # default None, not False, so that a --config value applies when the flag is absent
-    sub.add_argument(
-        "--no-noise", action="store_true", default=None, dest="no_noise",
-        help="force sigma^2 = 0 (non-private debugging runs)",
-    )
-
-
-def _add_synthetic(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--append-bias", action=argparse.BooleanOptionalAction, dest="append_bias"
-    )
-    sub.add_argument("--synthetic", choices=["planted", "heavy"])
-    sub.add_argument("--dim", type=int)
-    sub.add_argument("--classes", type=int)
-    sub.add_argument("--tail-k", type=float, dest="tail_k")
-
-
-def _add_dataset(sub: argparse.ArgumentParser) -> None:
-    _add_synthetic(sub)
-    sub.add_argument("--csv", help="training CSV: d floats then an integer label")
-    sub.add_argument("--test-csv", dest="test_csv", help="held-out CSV for accuracy")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--norm-low", type=float, dest="norm_low")
-    sub.add_argument("--norm-high", type=float, dest="norm_high")
-
-
-def _add_eta_grid(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--eta-grid", type=_floats, dest="eta_grid")
+def _flag_options(name: str) -> dict:
+    """add_argument options for a field, from its ExperimentSpec annotation."""
+    if name == "config":
+        return {}
+    kind = field_type(name)
+    if get_origin(kind) is Literal:
+        return {"choices": get_args(kind)}
+    if get_origin(kind) is tuple:
+        return {"type": _TUPLE_PARSERS[get_args(kind)[0]]}
+    if kind is bool and name.startswith("no_"):
+        # already a negation, so a plain switch; default None, not False, so
+        # that a --config value applies when the flag is absent
+        return {"action": "store_true", "default": None}
+    if kind is bool:
+        return {"action": argparse.BooleanOptionalAction}
+    return {"type": kind}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="dpclip", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sweep = subs.add_parser("sweep-clip", help="clip-norm sweep with eta tuning")
-    for add in (_add_output, _add_dp_sgd, _add_eta_grid, _add_dataset):
-        add(sweep)
-    sweep.add_argument(
-        "--clip-candidates", type=_tokens, dest="clip_candidates",
-        help='comma list of "pQ" percentiles, absolute values or "inf"',
-    )
-
-    rnmm = subs.add_parser("rnmm-pipeline", help="private G_min selection then DP-SGD")
-    for add in (_add_output, _add_dp_sgd, _add_eta_grid, _add_dataset):
-        add(rnmm)
-    rnmm.add_argument("--eps-rnmm", type=float, dest="eps_rnmm")
-    rnmm.add_argument("--rnmm-clamp", type=float, dest="rnmm_clamp")
-
-    # the step size comes from the schedule, and the data is always heavy-tailed
-    # synthetic; --eta-grid and --synthetic are still accepted so existing
-    # invocations keep working
-    phis = subs.add_parser("phi-scaling", help="risk vs dataset size study")
-    for add in (_add_output, _add_dp_sgd, _add_eta_grid, _add_synthetic):
-        add(phis)
-    phis.add_argument("--n-list", type=_ints, dest="n_list")
-    phis.add_argument("--moment-k", type=float, dest="moment_k")
-    phis.add_argument("--gamma", type=float)
-    phis.add_argument("--growth-c", type=float, dest="growth_c")
-
-    bias = subs.add_parser("bias-oracle", help="clipping-bias bound chain checks")
-    _add_output(bias)
-    bias.add_argument("--count", type=int)
-    bias.add_argument("--p-list", type=_floats, dest="p_list")
-
-    lb = subs.add_parser("lower-bound-demo", help="two-atom hard instance demo")
-    _add_output(lb)
-    _add_dp_sgd(lb)
-    lb.add_argument("--dim", type=int)
-    lb.add_argument("--n", type=int)
-    lb.add_argument("--qv-p", type=float, dest="qv_p")
-    lb.add_argument("--moment-k", type=float, dest="moment_k")
-    lb.add_argument("--gamma", type=float)
-    lb.add_argument("--growth-c", type=float, dest="growth_c")
-
+    for command, names in COMMAND_FIELDS.items():
+        sub = subs.add_parser(command, help=_HELP[command])
+        for name in names:
+            flag = "--" + name.replace("_", "-")
+            sub.add_argument(flag, help=_HELP.get(name), **_flag_options(name))
     return parser
-
-
-# the synthetic-data fields, which a --csv dataset leaves unread
-_SYNTHETIC_ONLY = {"synthetic", "n", "dim", "classes", "norm_low", "norm_high", "tail_k"}
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """Merge CLI flags over JSON config over dataclass defaults.
 
     Config keys obey the subcommand's own flags, so a field the command never
-    reads is rejected whichever way it is given.
+    reads is rejected whichever way it is given; ExperimentSpec checks each
+    value's type.
     """
+    reads = set(COMMAND_FIELDS[args.command]) - {"config"}
     merged: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise SpecValidationError("config file must hold a JSON object")
         merged.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            merged[key] = value
-    unknown = set(merged) - (set(vars(args)) - {"command", "config"})
+    merged.update((k, v) for k, v in vars(args).items() if k in reads and v is not None)
+    unknown = set(merged) - reads
     if unknown:
         raise SpecValidationError(f"{args.command} does not read: {sorted(unknown)}")
     if merged.get("csv") is not None:
-        ignored = sorted(_SYNTHETIC_ONLY & set(merged))
+        ignored = sorted((set(_DATASET) - _CSV_READS) & set(merged))
         if ignored:
             raise SpecValidationError(f"--csv data ignores the synthetic fields {ignored}")
-    for key in ("seeds", "eta_grid", "clip_candidates", "n_list", "p_list"):
-        if key in merged and not isinstance(merged[key], tuple):
-            merged[key] = tuple(merged[key])
     return ExperimentSpec(command=args.command, **merged)
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, fields
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 
 class SpecValidationError(ValueError):
@@ -21,10 +24,12 @@ DEFAULT_REF_ETAS = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0)
 class ExperimentSpec:
     """Resolved inputs of one harness command.
 
-    Fields mirror the CLI flags one-to-one; a JSON config file supplies the
-    same keys. The seeds, output path and DP-SGD controls are checked here,
-    before any command starts; other fields are validated by the command
-    that reads them.
+    Each field's annotation is its only declaration: the CLI makes a flag of
+    it, and every value, from a flag, a JSON config file or a direct call, is
+    checked against it and stored as that type (a float field takes 10 as
+    10.0, a tuple field takes a list) before any command starts. The seeds,
+    output path and DP-SGD controls are range-checked here too; other fields
+    are validated by the command that reads them.
     """
 
     command: str
@@ -36,7 +41,7 @@ class ExperimentSpec:
     csv: str | None = None
     test_csv: str | None = None
     append_bias: bool = False
-    synthetic: str | None = None  # "planted" | "heavy"
+    synthetic: Literal["planted", "heavy"] | None = None
     n: int = 2000
     dim: int = 20
     classes: int = 3
@@ -76,6 +81,8 @@ class ExperimentSpec:
     qv_p: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, _conform(f, getattr(self, f.name)))
         if not self.seeds:
             raise SpecValidationError("seeds must be nonempty")
         if self.master_seed < 0 or any(s < 0 for s in self.seeds):
@@ -88,3 +95,45 @@ class ExperimentSpec:
             raise SpecValidationError("batch must be positive")
         if not self.eta_grid or not all(eta >= 0 for eta in self.eta_grid):
             raise SpecValidationError("eta grid must be nonempty and nonnegative")
+
+
+_TYPES = get_type_hints(ExperimentSpec)
+
+
+def field_type(name: str):
+    """The declared type of an ExperimentSpec field, without its ``| None``."""
+    kind = _TYPES[name]
+    if get_origin(kind) in (Union, UnionType):
+        (kind,) = set(get_args(kind)) - {type(None)}
+    return kind
+
+
+# what each scalar type accepts; bool is an int to Python, but never here
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str, bool: bool}
+
+
+def _as(kind, value):
+    """``value`` as ``kind``; ``TypeError`` if it is not of that type.
+
+    An int passes as a float, a list as a tuple and a numpy scalar as its
+    Python type, but a bool is never a number and a number never a string.
+    """
+    origin = get_origin(kind)
+    if origin is tuple:
+        if isinstance(value, (tuple, list)):
+            return tuple(_as(get_args(kind)[0], item) for item in value)
+    elif origin is Literal:
+        if value in get_args(kind):
+            return value
+    elif isinstance(value, _ACCEPTS[kind]) and isinstance(value, bool) == (kind is bool):
+        return kind(value)
+    raise TypeError
+
+
+def _conform(f, value):
+    if value is None and type(None) in get_args(_TYPES[f.name]):
+        return None
+    try:
+        return _as(field_type(f.name), value)
+    except TypeError:
+        raise SpecValidationError(f"{f.name} must be {f.type}, got {value!r}") from None

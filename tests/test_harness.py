@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpclip.harness.cli import main
+from dpclip.harness.cli import COMMAND_FIELDS, build_parser, main
 from dpclip.harness.commands import (
+    COMMANDS,
     cmd_lower_bound_demo,
     cmd_phi_scaling,
     cmd_rnmm_pipeline,
@@ -72,6 +73,18 @@ def test_spec_validation():
                 dict(eta_grid=()), dict(eta_grid=(0.1, -0.1))):
         with pytest.raises(SpecValidationError):
             ExperimentSpec(command="sweep-clip", out="x.csv", **bad)
+    # each value must have its field's declared type, named in the message
+    for bad in (dict(iterations=2.5), dict(seeds=(True,)), dict(master_seed=1.5),
+                dict(batch="10"), dict(n_list=(100.0,)), dict(synthetic="uniform"),
+                dict(append_bias=1), dict(clip_candidates="p0"), dict(eps_rnmm="1")):
+        (name,) = bad
+        with pytest.raises(SpecValidationError, match=f"^{name} must be "):
+            ExperimentSpec(command="sweep-clip", out="x.csv", **bad)
+    # an int is a float, a list a tuple and a numpy integer an int
+    spec = ExperimentSpec(command="sweep-clip", out="x.csv", batch=10, seeds=[np.int64(2)],
+                          eps_rnmm=None)
+    assert (spec.batch, spec.seeds) == (10.0, (2,))
+    assert type(spec.batch) is float and type(spec.seeds[0]) is int
 
 
 def _collect_metrics(monkeypatch):
@@ -139,6 +152,16 @@ def test_best_eta_skips_nan_means(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
+def _forbid_work(monkeypatch, names):
+    from dpclip.harness import commands
+
+    def never(*args, **kwargs):
+        raise AssertionError("expensive work ran before validation")
+
+    for name in names:
+        monkeypatch.setattr(commands, name, never)
+
+
 @pytest.mark.parametrize(
     "command, kw, cause",
     [
@@ -162,15 +185,35 @@ def test_best_eta_skips_nan_means(monkeypatch, tmp_path, capsys):
 def test_invalid_input_fails_before_any_run(monkeypatch, tmp_path, command, kw, cause):
     from dpclip.harness import commands
 
-    def never(*args, **kwargs):
-        raise AssertionError("expensive work ran before validation")
-
-    for name in ("reference_minimum", "run_dp_sgd", "_verify_hard_instance",
-                 "clipping_bias_exact"):
-        monkeypatch.setattr(commands, name, never)
+    _forbid_work(monkeypatch, ("reference_minimum", "run_dp_sgd", "_verify_hard_instance",
+                               "clipping_bias_exact"))
     out = tmp_path / "x.csv"
     with pytest.raises(SpecValidationError, match=cause):
         commands.COMMANDS[command](_tiny_spec(command, out, **kw))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"iterations": 20.5}, {"master_seed": 1.5}, {"batch": "10"}, {"n": 60.5},
+     {"classes": 2.5}, {"dim": 3.0}, {"seeds": [1.5]}],
+    ids=lambda config: "-".join(config),
+)
+def test_cli_rejects_mistyped_config_values_before_any_work(
+    monkeypatch, tmp_path, capsys, config
+):
+    # a JSON value is not parsed by the flag's type, so the spec must check it
+    # before any dataset is made, not fail with a traceback or after the oracle
+    _forbid_work(monkeypatch, ("planted_logistic_dataset", "load_dataset_csv",
+                               "reference_minimum", "run_dp_sgd"))
+    config_path = tmp_path / "spec.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    argv = ["sweep-clip", "--synthetic", "planted", "--config", str(config_path),
+            "--out", str(out)]
+    assert main(argv) == 1
+    (name,) = config
+    assert capsys.readouterr().err.startswith(f"validation error: {name} must be ")
     assert not out.exists()
 
 
@@ -365,6 +408,24 @@ def test_cli_config_file_equivalent_to_flags(tmp_path):
     flag_bytes = out_flags.read_bytes()
     config_bytes = out_config.read_bytes()
     assert flag_bytes == config_bytes
+
+    # the flag parses --p-list 2,3 to floats; the config's integers must follow
+    assert main(["bias-oracle", "--count", "2", "--p-list", "2,3", "--out", str(out_flags)]) == 0
+    config_path.write_text(json.dumps({"p_list": [2, 3], "count": 2}), encoding="utf-8")
+    assert main(["bias-oracle", "--config", str(config_path), "--out", str(out_config)]) == 0
+    assert out_flags.read_bytes() == out_config.read_bytes()
+
+
+def test_command_fields_match_spec_and_parsers():
+    assert set(COMMAND_FIELDS) == set(COMMANDS)
+    spec_fields = set(ExperimentSpec.__dataclass_fields__)
+    read = {name for names in COMMAND_FIELDS.values() for name in names}
+    assert read - {"config"} <= spec_fields
+    assert spec_fields - read == {"command"}
+    parser = build_parser()
+    for command, names in COMMAND_FIELDS.items():
+        dests = list(vars(parser.parse_args([command])))
+        assert dests == ["command", *names], command
 
 
 def test_cli_no_noise_flag_matches_config(tmp_path):
