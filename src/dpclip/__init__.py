@@ -9,12 +9,10 @@ from .clipping import (
     clip_rows,
     clipping_bias_exact,
 )
-from .domains import UNCONSTRAINED, Ball, Unconstrained
 from .lipschitz import (
     LipschitzProfile,
     alpha_estimate,
     build_profile,
-    interpolation_gap,
     percentile,
 )
 from .losses import (
@@ -30,7 +28,6 @@ from .losses import (
     logistic_loss,
     logistic_problem,
     lower_bound_loss,
-    per_sample_lipschitz_logistic,
     planted_logistic_dataset,
     sample_Qv_many,
     sharpness_radius,
@@ -41,10 +38,6 @@ from .optimizer import (
     poisson_sample,
     reference_minimum,
     run_dp_sgd,
-    schedule_constrained_convex,
-    schedule_interpolation,
-    schedule_nonconvex,
-    schedule_sharp_convex,
     schedule_unconstrained_convex,
     subgradient_descent,
 )

@@ -194,18 +194,15 @@ def resolve_candidates(
 ) -> list[tuple[str, str, float]]:
     """Map candidate tokens to (token, kind, clip norm).
 
-    "pQ" resolves against the Lipschitz profile's nearest-rank percentile Q,
-    "inf" is the no-clipping sentinel, anything else parses as an absolute
-    value.
+    "pQ" resolves against the Lipschitz profile's nearest-rank percentile Q;
+    anything else parses as a positive value, absolute when finite and the
+    no-clipping sentinel ("inf", "+inf", "1e999", ...) when infinite.
     """
     if not tokens:
         raise SpecValidationError("clip candidate list must be nonempty")
     out = []
     for token in tokens:
         t = token.strip()
-        if t.lower() in ("inf", "infinity"):
-            out.append((t, "infinite", math.inf))
-            continue
         if t.lower().startswith("p"):
             try:
                 q = float(t[1:])
@@ -219,7 +216,7 @@ def resolve_candidates(
             raise SpecValidationError(f"bad clip candidate: {token!r}")
         if not value > 0:
             raise SpecValidationError(f"clip candidates must be positive: {token!r}")
-        out.append((t, "absolute", value))
+        out.append((t, "infinite" if math.isinf(value) else "absolute", value))
     return out
 
 
@@ -247,7 +244,7 @@ def cmd_rnmm_pipeline(spec: ExperimentSpec) -> dict:
     """
     if spec.eps_rnmm is None:
         raise SpecValidationError("rnmm-pipeline requires --eps-rnmm")
-    if math.isinf(spec.eps_rnmm):
+    if spec.eps_rnmm == math.inf:
         eps_dpsgd = spec.epsilon
     else:
         if not 0 < spec.eps_rnmm < spec.epsilon:

@@ -50,14 +50,6 @@ def percentile(profile: LipschitzProfile, q: float) -> float:
     return float(profile.g[rank - 1])
 
 
-def interpolation_gap(problem: Problem, w_star: np.ndarray) -> float:
-    """Average per-sample suboptimality (1/n) sum_i (f_i(w*) - f_i^*)."""
-    if problem.per_sample_min is None:
-        raise ValueError("problem does not expose per-sample minima")
-    gaps = problem.losses_at(w_star) - problem.per_sample_min
-    return max(0.0, float(gaps.mean()))
-
-
 def alpha_estimate(
     problem: Problem,
     profile: LipschitzProfile,

@@ -11,12 +11,10 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .domains import UNCONSTRAINED
 
 
 @dataclass
@@ -104,12 +102,12 @@ class Problem:
     The contract is batch-first: ``batch_loss(w, idx)`` returns the
     per-sample losses f_i(w) for i in ``idx`` and ``batch_grad(w, idx)`` the
     (len(idx), dim) matrix of their (sub)gradients. Every objective family
-    supplies exactly these two, and ``loss(w, i)``/``grad(w, i)`` are
-    one-row views of them. A problem given scalar ``loss``/``grad`` instead
-    is lifted to batch form once, at construction, by looping over indices.
+    supplies exactly these two. A problem given scalar ``loss(w, i)`` and
+    ``grad(w, i)`` instead is lifted to batch form once, at construction, by
+    looping over indices.
 
-    ``lipschitz[i]`` upper-bounds the per-sample (sub)gradient norm over the
-    domain; ``per_sample_min[i]``, when present, is min_w f_i(w).
+    ``lipschitz[i]`` upper-bounds the per-sample (sub)gradient norm;
+    ``per_sample_min[i]``, when present, is min_w f_i(w).
 
     ``value_and_grad(w)`` returns ``(objective(w), full_gradient(w))`` in one
     call; the reference oracle uses it. A family may supply
@@ -121,7 +119,6 @@ class Problem:
     dim: int
     lipschitz: np.ndarray
     per_sample_min: np.ndarray | None = None
-    domain: object = field(default_factory=lambda: UNCONSTRAINED)
     batch_loss: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     batch_grad: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     loss: Callable[[np.ndarray, int], float] | None = None
@@ -140,10 +137,6 @@ class Problem:
                 return np.array(rows, dtype=float).reshape(len(idx), dim)
 
             self.batch_loss, self.batch_grad = batch_loss, batch_grad
-        else:
-            batch_loss, batch_grad = self.batch_loss, self.batch_grad
-            self.loss = lambda w, i: float(batch_loss(w, np.array([i]))[0])
-            self.grad = lambda w, i: batch_grad(w, np.array([i]))[0]
 
     def losses_at(self, w: np.ndarray, indices: np.ndarray | None = None) -> np.ndarray:
         idx = np.arange(self.n) if indices is None else np.asarray(indices, dtype=np.intp)
@@ -217,20 +210,10 @@ def logistic_grad_norm_exact(p: np.ndarray, y: int, x_norm: float) -> float:
     return float(math.sqrt(float(others @ others) + (1.0 - p[y]) ** 2) * x_norm)
 
 
-def per_sample_lipschitz_logistic(x: np.ndarray) -> float:
-    """sqrt(2) * ||(x, 1)|| for a raw feature vector (bias appended)."""
-    x = np.asarray(x, dtype=float)
-    return float(math.sqrt(2.0) * math.sqrt(float(x @ x) + 1.0))
-
-
 _ROW_BLOCK = 4096  # rows per block of the row-norm pass
 
 
-def logistic_problem(
-    dataset: Dataset,
-    num_classes: int | None = None,
-    domain=UNCONSTRAINED,
-) -> Problem:
+def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Problem:
     """Multinomial logistic ERM over the dataset's rows as stored.
 
     The per-sample Lipschitz constant is sqrt(2) times the stored row norm,
@@ -299,7 +282,6 @@ def logistic_problem(
         dim=m * d,
         lipschitz=lipschitz,
         per_sample_min=np.zeros(n),
-        domain=domain,
         batch_loss=batch_loss,
         batch_grad=batch_grad,
         full_value_and_grad=full_value_and_grad,
@@ -311,7 +293,7 @@ def logistic_problem(
 # ---------------------------------------------------------------------------
 
 
-def geometric_median_problem(anchors: np.ndarray, domain=UNCONSTRAINED) -> Problem:
+def geometric_median_problem(anchors: np.ndarray) -> Problem:
     """f_i(w) = ||w - anchor_i||, the canonical sharp nonsmooth convex family.
 
     Each f_i is 1-Lipschitz with infimum 0; the subgradient at an anchor is 0.
@@ -335,7 +317,6 @@ def geometric_median_problem(anchors: np.ndarray, domain=UNCONSTRAINED) -> Probl
         dim=d,
         lipschitz=np.ones(n),
         per_sample_min=np.zeros(n),
-        domain=domain,
         batch_loss=batch_loss,
         batch_grad=batch_grad,
     )
@@ -411,7 +392,7 @@ def sample_Qv_many(spec: QvSpec, count: int, rng: np.random.Generator) -> np.nda
     return np.outer(mask.astype(float), spec.heavy_atom)
 
 
-def hard_instance_problem(xs: np.ndarray, domain=UNCONSTRAINED) -> Problem:
+def hard_instance_problem(xs: np.ndarray) -> Problem:
     """ERM over the hinge-penalised linear losses on the given samples.
 
     Per-sample Lipschitz constants are 3 ||x_i||; per-sample minima -||x_i||.
@@ -436,7 +417,6 @@ def hard_instance_problem(xs: np.ndarray, domain=UNCONSTRAINED) -> Problem:
         dim=d,
         lipschitz=3.0 * norms,
         per_sample_min=-norms,
-        domain=domain,
         batch_loss=batch_loss,
         batch_grad=batch_grad,
     )

@@ -1,7 +1,7 @@
 """DP-SGD engine with Poisson subsampling, per-sample clipping, Gaussian
-noising and random-iterate output, plus closed-form hyperparameter schedules
-for the interpolation, heavy-tailed convex (constrained, unconstrained,
-sharp) and smooth nonconvex regimes."""
+noising and random-iterate output, the closed-form hyperparameter schedule
+for the heavy-tailed unconstrained convex regime, and the non-private
+reference oracle."""
 
 from __future__ import annotations
 
@@ -28,8 +28,7 @@ class DpSgdConfig:
     ``b`` is the expected batch size of Poisson subsampling and is always the
     divisor of the summed clipped gradients, even when the realized batch is
     smaller or empty. ``sigma_sq`` is the per-coordinate noise variance
-    (typically from :func:`dpclip.privacy.noise_variance`). Iterates are
-    projected onto the domain of the :class:`Problem` being solved.
+    (typically from :func:`dpclip.privacy.noise_variance`).
 
     ``seed``, ``T``, ``b`` and whether ``sigma_sq > 0`` fix the random
     stream of a run; :func:`run_dp_sgd` groups configs that agree on these
@@ -80,7 +79,7 @@ def dp_sgd_step(
     config: DpSgdConfig | list[DpSgdConfig],
     rng: np.random.Generator,
 ) -> np.ndarray | list[np.ndarray]:
-    """One update: sample, clip, average by the fixed b, noise, step, project.
+    """One update: sample, clip, average by the fixed b, noise, step.
 
     Given a list of iterates and a list of configs, it steps each iterate
     with its config and returns the list of updates. The configs then share
@@ -107,7 +106,7 @@ def dp_sgd_step(
         if z is not None:
             # 0.0 + scale * z is how numpy's normal(loc=0.0, scale) forms a draw
             g = g + (0.0 + math.sqrt(c.sigma_sq) * z)
-        out.append(problem.domain.project(w_c - c.eta * g))
+        out.append(w_c - c.eta * g)
     return out[0] if one else out
 
 
@@ -152,7 +151,7 @@ def run_dp_sgd(
     def run_group(task):
         members, rng, t_hat = task
         group = [configs[i] for i in members]
-        ws = [problem.domain.project(c.w0.copy()) for c in group]
+        ws = [c.w0.copy() for c in group]
         for _ in range(t_hat):
             ws = dp_sgd_step(ws, problem, group, rng)
         return ws
@@ -166,7 +165,7 @@ def run_dp_sgd(
 
 
 # ---------------------------------------------------------------------------
-# Hyperparameter schedules
+# Hyperparameter schedule
 # ---------------------------------------------------------------------------
 
 
@@ -193,34 +192,6 @@ def _check_gamma(gamma: float) -> None:
         )
 
 
-def schedule_interpolation(C: float, phi: float, tau: float) -> tuple[int, float]:
-    """Interpolation-regime schedule: T = ceil(1/(3 phi^2)), eta = 3 C phi / (2 tau)."""
-    _check_phi(phi)
-    if not (C > 0 and tau > 0):
-        raise ValueError("C and tau must be positive")
-    T = math.ceil(1.0 / (3.0 * phi * phi))
-    eta = 3.0 * C * phi / (2.0 * tau)
-    return T, eta
-
-
-def schedule_constrained_convex(
-    G: float, gamma: float, D_W: float, T: int, phi: float, k: float
-) -> tuple[float, float]:
-    """Heavy-tailed constrained convex schedule over a diameter-D_W set.
-
-    tau = (G / gamma^{1/k}) (1/T + phi^2)^{-1/(2k)},
-    eta = (D_W / (T tau)) (1/T + phi^2)^{-1/2}.
-    """
-    _check_phi(phi)
-    _check_gamma(gamma)
-    if not (G > 0 and D_W > 0 and T >= 1 and k > 1):
-        raise ValueError("need G > 0, D_W > 0, T >= 1, k > 1")
-    base = 1.0 / T + phi * phi
-    tau = (G / gamma ** (1.0 / k)) * base ** (-1.0 / (2.0 * k))
-    eta = (D_W / (T * tau)) * base**-0.5
-    return tau, eta
-
-
 def schedule_unconstrained_convex(
     G: float, gamma: float, C: float, T: int, phi: float, k: float
 ) -> tuple[float, float]:
@@ -239,48 +210,6 @@ def schedule_unconstrained_convex(
     return tau, eta
 
 
-def schedule_sharp_convex(
-    G: float, C: float, T: int, phi: float, k: float
-) -> tuple[float, float]:
-    """Improved unconstrained convex schedule under sharp growth; needs T >= 1/phi^2.
-
-    tau = G (1/T + phi^2)^{-1/(2k)}, eta = (C / (T tau)) (1/T + phi^2)^{-1/2}.
-    """
-    _check_phi(phi)
-    if not (G > 0 and C > 0 and k > 1):
-        raise ValueError("need G > 0, C > 0, k > 1")
-    t_min = math.ceil(1.0 / (phi * phi))
-    if T < t_min:
-        raise ValueError(f"T must be at least ceil(1/phi^2) = {t_min}, got {T}")
-    base = 1.0 / T + phi * phi
-    tau = G * base ** (-1.0 / (2.0 * k))
-    eta = (C / (T * tau)) * base**-0.5
-    return tau, eta
-
-
-def schedule_nonconvex(
-    G: float, gamma: float, C: float, L: float, T: int, phi: float, k: float
-) -> tuple[float, float]:
-    """Heavy-tailed smooth nonconvex schedule.
-
-    tau = G (G / (gamma^2 C sqrt(L)))^{1/(2k-1)} (1/T + phi^2)^{-1/(2(2k-1))},
-    eta = (C / (T tau sqrt(L))) (1/T + phi^2)^{-1/2}.
-    """
-    _check_phi(phi)
-    _check_gamma(gamma)
-    if not (G > 0 and C > 0 and L > 0 and T >= 1 and k > 1):
-        raise ValueError("need G > 0, C > 0, L > 0, T >= 1, k > 1")
-    base = 1.0 / T + phi * phi
-    root_l = math.sqrt(L)
-    tau = (
-        G
-        * (G / (gamma * gamma * C * root_l)) ** (1.0 / (2.0 * k - 1.0))
-        * base ** (-1.0 / (2.0 * (2.0 * k - 1.0)))
-    )
-    eta = (C / (T * tau * root_l)) * base**-0.5
-    return tau, eta
-
-
 # ---------------------------------------------------------------------------
 # The non-private reference oracle
 # ---------------------------------------------------------------------------
@@ -292,12 +221,12 @@ def subgradient_descent(
     eta: float,
     T: int,
 ) -> tuple[np.ndarray, float]:
-    """Full-batch projected (sub)gradient descent; returns the best iterate."""
-    w = problem.domain.project(np.asarray(w0, dtype=float))
+    """Full-batch (sub)gradient descent; returns the best iterate."""
+    w = np.asarray(w0, dtype=float)
     f, g = problem.value_and_grad(w)
     best_w, best_f = w.copy(), f
     for _ in range(T):
-        w = problem.domain.project(w - eta * g)
+        w = w - eta * g
         f, g = problem.value_and_grad(w)
         if f < best_f:
             best_w, best_f = w.copy(), f

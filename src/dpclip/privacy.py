@@ -131,7 +131,7 @@ def report_noisy_max(
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         raise ValueError("scores must be nonempty")
-    if math.isinf(epsilon):
+    if epsilon == math.inf:
         return int(np.argmax(scores))
     if not epsilon > 0:
         raise ValueError("epsilon must be positive or math.inf")

@@ -51,11 +51,13 @@ def _tiny_spec(command, out, **kw):
 
 
 def test_resolve_candidates():
-    resolved = resolve_candidates(("p0", "p100", "2.5", "inf"), PROFILE)
+    infinite = ("inf", "+inf", "Infinity", "1e999")
+    resolved = resolve_candidates(("p0", "p100", "2.5", *infinite), PROFILE)
     assert resolved[0] == ("p0", "percentile", 1.0)
     assert resolved[1] == ("p100", "percentile", 8.0)
     assert resolved[2] == ("2.5", "absolute", 2.5)
-    assert resolved[3][1] == "infinite" and math.isinf(resolved[3][2])
+    # every token that parses to an infinite clip norm is the sentinel
+    assert resolved[3:] == [(t, "infinite", math.inf) for t in infinite]
     for bad in (("pxyz",), ("-1.0",), ("nan",), ("p150",), ()):
         with pytest.raises((SpecValidationError, ValueError)):
             resolve_candidates(bad, PROFILE)
@@ -170,6 +172,7 @@ def _forbid_work(monkeypatch, names):
          "must be positive: 'nan'"),
         ("rnmm-pipeline", dict(eps_rnmm=math.inf, rnmm_clamp=math.nan),
          "clamp bound must be positive, got nan"),
+        ("rnmm-pipeline", dict(eps_rnmm=-math.inf), "need 0 < eps_rnmm < eps_total"),
         ("phi-scaling", dict(synthetic="heavy", n_list=(600, 20), batch=30.0),
          "exceeds n=20"),
         ("phi-scaling", dict(synthetic="heavy", n_list=(150,), moment_k=0.0),
@@ -179,8 +182,8 @@ def _forbid_work(monkeypatch, names):
         ("bias-oracle", dict(p_list=(2.0, math.nan)), "all moment orders p must exceed 1"),
     ],
     ids=["sweep-inf-without-no-noise", "sweep-nan-no-noise", "rnmm-clamp-nan",
-         "phi-batch-over-min-n", "phi-moment-k-zero", "lower-bound-batch-over-n",
-         "bias-oracle-p-nan"],
+         "rnmm-eps-minus-inf", "phi-batch-over-min-n", "phi-moment-k-zero",
+         "lower-bound-batch-over-n", "bias-oracle-p-nan"],
 )
 def test_invalid_input_fails_before_any_run(monkeypatch, tmp_path, command, kw, cause):
     from dpclip.harness import commands

@@ -1,5 +1,5 @@
-"""Tests for Lipschitz profiles, percentiles, the interpolation gap and the
-clipped suboptimality ratio estimator."""
+"""Tests for Lipschitz profiles, percentiles and the clipped suboptimality
+ratio estimator."""
 
 import math
 
@@ -10,7 +10,6 @@ from dpclip.lipschitz import (
     LipschitzProfile,
     alpha_estimate,
     build_profile,
-    interpolation_gap,
     percentile,
 )
 from dpclip.losses import (
@@ -19,7 +18,6 @@ from dpclip.losses import (
     logistic_problem,
     planted_logistic_dataset,
 )
-from dpclip.optimizer import reference_minimum
 
 
 def _scaled_two_sample_problem():
@@ -97,25 +95,6 @@ def test_percentile_monotone_and_no_rank_drift():
     assert all(a <= b for a, b in zip(values, values[1:]))
     # q*n/100 landing on an exact integer must not creep to the next rank
     assert percentile(profile, 10) == profile.g[199]
-
-
-def test_interpolation_gap_geometric_cases():
-    a = np.array([2.0, -1.0])
-    interpolating = geometric_median_problem(np.stack([a, a]))
-    assert interpolation_gap(interpolating, a) == 0.0
-    spread = geometric_median_problem(np.array([[-1.0], [1.0]]))
-    assert interpolation_gap(spread, np.zeros(1)) == pytest.approx(1.0, rel=1e-12)
-    spread.per_sample_min = None
-    with pytest.raises(ValueError):
-        interpolation_gap(spread, np.zeros(1))
-
-
-def test_interpolation_gap_separable_logistic():
-    rng = np.random.default_rng(33)
-    ds = planted_logistic_dataset(200, 5, 3, rng, 0.5, 4.0).with_bias()
-    prob = logistic_problem(ds, 3)
-    w_star, _ = reference_minimum(prob, np.zeros(prob.dim), [3.0, 10.0, 30.0], 8000)
-    assert interpolation_gap(prob, w_star) <= 0.01
 
 
 def _ball_samples(rng, dim, count, radius=3.0):

@@ -20,7 +20,6 @@ from dpclip.losses import (
     logistic_loss,
     logistic_problem,
     lower_bound_loss,
-    per_sample_lipschitz_logistic,
     planted_logistic_dataset,
     sample_Qv_many,
     sharpness_radius,
@@ -257,19 +256,6 @@ def test_grad_norm_matches_closed_form():
         assert got <= math.sqrt(2.0) * x_norm + 1e-12
 
 
-def test_per_sample_lipschitz_logistic():
-    assert per_sample_lipschitz_logistic(np.array([3.0, 4.0])) == pytest.approx(
-        math.sqrt(52.0), rel=1e-12
-    )
-    assert per_sample_lipschitz_logistic(np.zeros(2)) == pytest.approx(
-        math.sqrt(2.0), rel=1e-12
-    )
-    x = np.array([1.0, -2.0])
-    doubled = per_sample_lipschitz_logistic(2 * x)
-    assert doubled == pytest.approx(math.sqrt(2.0 * (4 * 5 + 1)), rel=1e-12)
-    assert doubled < 2 * per_sample_lipschitz_logistic(x)  # appended 1 breaks scaling
-
-
 def test_logistic_problem_batch_consistency():
     # each family's batch functions against independent per-sample references;
     # the last case builds a Problem from scalar functions only (lifted path)
@@ -314,9 +300,6 @@ def test_logistic_problem_batch_consistency():
             for row, i in enumerate(idx):
                 assert batch_l[row] == pytest.approx(ref_loss(w, i), rel=1e-12, abs=1e-12)
                 assert np.allclose(batch_g[row], ref_grad(w, i), rtol=1e-12, atol=1e-14)
-                # the one-sample views agree with the batch rows
-                assert prob.loss(w, int(i)) == pytest.approx(batch_l[row], rel=1e-12, abs=1e-12)
-                assert np.allclose(prob.grad(w, int(i)), batch_g[row], rtol=1e-12, atol=1e-14)
         assert prob.grads_at(np.zeros(prob.dim), []).shape == (0, prob.dim)
     assert np.allclose(
         cases[0][0].lipschitz, math.sqrt(2.0) * np.linalg.norm(ds.features, axis=1)
@@ -364,7 +347,14 @@ def test_value_and_grad_fallback_families():
     anchors = rng.normal(size=(9, 3))
     anchors[4] = 0.0  # a kink at w = 0
     median = geometric_median_problem(anchors)
-    lifted = Problem(n=9, dim=3, loss=median.loss, grad=median.grad, lipschitz=np.ones(9))
+
+    def median_loss(w, i):
+        return float(median.batch_loss(w, np.array([i]))[0])
+
+    def median_grad(w, i):
+        return median.grads_at(w, [i])[0]
+
+    lifted = Problem(n=9, dim=3, loss=median_loss, grad=median_grad, lipschitz=np.ones(9))
     for prob in (median, hard_instance_problem(rng.normal(size=(11, 3))), lifted):
         assert prob.full_value_and_grad is None
         for scale in (0.0, 0.5, 4.0):
@@ -383,7 +373,7 @@ def test_geometric_median_interpolating_case():
     a = np.array([1.0, -2.0])
     prob = geometric_median_problem(np.stack([a, a, a]))
     assert prob.objective(a) == 0.0
-    assert np.array_equal(prob.grad(a, 1), np.zeros(2))
+    assert np.array_equal(prob.grads_at(a), np.zeros((3, 2)))
     assert np.array_equal(prob.lipschitz, np.ones(3))
     assert np.array_equal(prob.per_sample_min, np.zeros(3))
 

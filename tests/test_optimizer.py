@@ -1,4 +1,4 @@
-"""Tests for the DP-SGD engine, schedules and the reference oracle."""
+"""Tests for the DP-SGD engine, the schedule and the reference oracle."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dpclip.clipping import clip_rows
-from dpclip.domains import Ball, Unconstrained
 from dpclip.losses import (
     geometric_median_problem,
     hard_instance_problem,
@@ -19,10 +18,6 @@ from dpclip.optimizer import (
     poisson_sample,
     reference_minimum,
     run_dp_sgd,
-    schedule_constrained_convex,
-    schedule_interpolation,
-    schedule_nonconvex,
-    schedule_sharp_convex,
     schedule_unconstrained_convex,
     subgradient_descent,
 )
@@ -127,50 +122,6 @@ def test_step_on_empty_batch_adds_noise_only(family):
         assert step_rng.bit_generator.state == replay.bit_generator.state
 
 
-def test_ball_projection_examples():
-    ball = Ball(np.zeros(2), 1.0)
-    assert np.allclose(ball.project(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
-    inside = np.array([0.3, -0.1])
-    assert np.array_equal(ball.project(inside), inside)
-    for radius in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="radius must be positive"):
-            Ball(np.zeros(2), radius)
-
-
-def test_step_projects_radially_onto_ball():
-    # the noiseless step from 0 lands at (3, 4) and projects to (0.6, 0.8)
-    anchor = np.array([[3.0, 4.0]])
-    # subgradient at 0 is -(0.6, 0.8)
-    prob = geometric_median_problem(anchor, domain=Ball(np.zeros(2), 1.0))
-    config = DpSgdConfig(T=1, eta=5.0, tau=1.0, b=1.0, sigma_sq=0.0, w0=np.zeros(2))
-    w_next = dp_sgd_step(np.zeros(2), prob, config, np.random.default_rng(0))
-    assert np.allclose(w_next, [0.6, 0.8], atol=1e-12)
-
-
-def test_projection_idempotent_and_nonexpansive():
-    rng = np.random.default_rng(4)
-    ball = Ball(rng.normal(size=3), 2.0)
-    for _ in range(100):
-        z1, z2 = rng.normal(0, 4, size=(2, 3))
-        p1, p2 = ball.project(z1), ball.project(z2)
-        assert np.allclose(ball.project(p1), p1, atol=1e-12)
-        assert np.linalg.norm(p1 - p2) <= np.linalg.norm(z1 - z2) + 1e-12
-
-
-def test_iterates_stay_in_ball():
-    rng = np.random.default_rng(5)
-    ball = Ball(np.array([0.5, -0.5]), 0.75)
-    prob = geometric_median_problem(rng.normal(0, 3, size=(6, 2)), domain=ball)
-    config = DpSgdConfig(
-        T=60, eta=0.5, tau=1.0, b=3.0, sigma_sq=0.2, w0=np.zeros(2), seed=9
-    )
-    w = prob.domain.project(config.w0)
-    step_rng = np.random.default_rng(11)
-    for _ in range(config.T):
-        w = dp_sgd_step(w, prob, config, step_rng)
-        assert np.linalg.norm(w - ball.center) <= ball.radius + 1e-12
-
-
 def test_run_t1_returns_w0_and_is_deterministic():
     prob = geometric_median_problem(np.array([[1.0, 0.0]]))
     w0 = np.array([0.25, -0.5])
@@ -183,7 +134,7 @@ def test_run_t1_returns_w0_and_is_deterministic():
     assert np.array_equal(run_dp_sgd(prob, config), run_dp_sgd(prob, config))
 
 
-@pytest.mark.parametrize("family", ["logistic", "geometric-median", "geometric-median-ball"])
+@pytest.mark.parametrize("family", ["logistic", "geometric-median"])
 def test_run_returns_the_selected_iterate_of_the_full_run(family):
     # the run stops at t̂, yet returns bitwise the t̂-th iterate of all T steps
     rng = np.random.default_rng(21)
@@ -191,8 +142,7 @@ def test_run_returns_the_selected_iterate_of_the_full_run(family):
         ds = planted_logistic_dataset(40, 3, 3, rng, 0.5, 4.0).with_bias()
         prob = logistic_problem(ds, 3)
     else:
-        domain = Ball(np.full(2, 0.5), 0.75) if family.endswith("ball") else Unconstrained()
-        prob = geometric_median_problem(rng.normal(0, 3, size=(6, 2)), domain=domain)
+        prob = geometric_median_problem(rng.normal(0, 3, size=(6, 2)))
     w0 = rng.normal(size=prob.dim)
     for seed in range(8):
         config = DpSgdConfig(
@@ -200,7 +150,7 @@ def test_run_returns_the_selected_iterate_of_the_full_run(family):
         )
         step_rng = np.random.default_rng(seed)
         t_hat = int(step_rng.integers(config.T))
-        iterates = [prob.domain.project(w0)]
+        iterates = [w0]
         for _ in range(config.T - 1):
             iterates.append(dp_sgd_step(iterates[-1], prob, config, step_rng))
         assert np.array_equal(run_dp_sgd(prob, config), iterates[t_hat])
@@ -222,17 +172,17 @@ def _one_run(prob, config):
     # reference: one run alone, written out from the numpy draws it makes
     rng = np.random.default_rng(config.seed)
     t_hat = int(rng.integers(config.T))
-    w = prob.domain.project(config.w0.copy())
+    w = config.w0.copy()
     for _ in range(t_hat):
         batch = np.flatnonzero(rng.random(prob.n) < config.b / prob.n)
         g = clip_rows(prob.grads_at(w, batch), config.tau).sum(axis=0) / config.b
         if config.sigma_sq > 0:
             g = g + rng.normal(0.0, math.sqrt(config.sigma_sq), size=prob.dim)
-        w = prob.domain.project(w - config.eta * g)
+        w = w - config.eta * g
     return w
 
 
-@pytest.mark.parametrize("family", ["logistic", "geometric-median-ball"])
+@pytest.mark.parametrize("family", ["logistic", "geometric-median"])
 def test_run_of_a_config_list_is_bitwise_each_run_alone(family):
     # configs that share a seed share their draws; each result must still be
     # exactly the run of its config alone, returned in input order
@@ -241,9 +191,7 @@ def test_run_of_a_config_list_is_bitwise_each_run_alone(family):
         ds = planted_logistic_dataset(50, 3, 3, rng, 0.5, 4.0).with_bias()
         prob = logistic_problem(ds, 3)
     else:
-        prob = geometric_median_problem(
-            rng.normal(0, 3, size=(30, 2)), domain=Ball(np.full(2, 0.5), 0.75)
-        )
+        prob = geometric_median_problem(rng.normal(0, 3, size=(30, 2)))
     w0s = [np.zeros(prob.dim), rng.normal(size=prob.dim)]
     runs = [(4, 30, 5.0), (9, 30, 5.0), (4, 17, 5.0), (4, 30, 11.0), (4, 30, 5.0)]
     cells = [(0.3, 1.0, 0.4, 0), (0.1, 0.5, 0.0, 1), (0.3, 2.0, 0.0, 0), (0.05, 0.5, 2.5, 1)]
@@ -262,7 +210,7 @@ def test_run_of_a_config_list_is_bitwise_each_run_alone(family):
         assert np.array_equal(w, alone)
         assert np.array_equal(run_dp_sgd(prob, config), alone)
         assert all(w is not c.w0 for c in configs)
-        moved += not np.array_equal(w, prob.domain.project(config.w0))
+        moved += not np.array_equal(w, config.w0)
     assert moved > len(configs) // 2
 
 
@@ -297,10 +245,10 @@ def test_run_of_a_config_list_checks_every_config_before_any_draw(monkeypatch):
 
 def _two_call_subgradient_descent(problem, w0, eta, T):
     # reference: separate objective and full_gradient calls at each iterate
-    w = problem.domain.project(np.asarray(w0, dtype=float))
+    w = np.asarray(w0, dtype=float)
     best_w, best_f = w.copy(), problem.objective(w)
     for _ in range(T):
-        w = problem.domain.project(w - eta * problem.full_gradient(w))
+        w = w - eta * problem.full_gradient(w)
         f = problem.objective(w)
         if f < best_f:
             best_w, best_f = w.copy(), f
@@ -312,7 +260,7 @@ def test_subgradient_descent_bitwise_matches_two_call_loop():
     ds = planted_logistic_dataset(300, 4, 3, rng, 0.4, 8.0)
     problems = [
         logistic_problem(ds.with_bias(), 3),
-        logistic_problem(ds, 3, domain=Ball(np.zeros(12), 2.0)),
+        logistic_problem(ds, 3),
         geometric_median_problem(rng.normal(size=(15, 3))),
         hard_instance_problem(rng.normal(size=(15, 4))),
     ]
@@ -417,36 +365,6 @@ def test_second_moment_bound():
 # ---------------------------------------------------------------------------
 
 
-def test_schedule_interpolation_values():
-    T, eta = schedule_interpolation(C=1.0, phi=0.1, tau=2.0)
-    assert T == 34  # ceil(1 / (3 * 0.01))
-    assert eta == pytest.approx(0.075, rel=1e-12)
-    with pytest.raises(ValueError):
-        schedule_interpolation(1.0, -0.1, 2.0)
-    with pytest.warns(PrivacyRegimeWarning):
-        schedule_interpolation(1.0, 1.5, 2.0)
-
-
-def test_schedule_interpolation_scaling():
-    T1, eta1 = schedule_interpolation(2.0, 0.05, 1.0)
-    T2, eta2 = schedule_interpolation(2.0, 0.025, 1.0)
-    assert T1 == math.ceil(1.0 / (3 * 0.05**2))
-    assert T2 == math.ceil(1.0 / (3 * 0.025**2))  # 4x the pre-ceiling value
-    _, eta_tau2 = schedule_interpolation(2.0, 0.05, 2.0)
-    assert eta_tau2 == pytest.approx(eta1 / 2.0, rel=1e-12)
-
-
-def test_schedule_constrained_convex_value():
-    tau, eta = schedule_constrained_convex(1.0, 0.5, 1.0, 100, 0.1, 2.0)
-    assert tau == pytest.approx(math.sqrt(2.0) * 0.02**-0.25, rel=1e-12)
-    assert tau == pytest.approx(3.7606, rel=1e-4)
-    assert eta == pytest.approx((1.0 / (100 * tau)) * 0.02**-0.5, rel=1e-12)
-    # tau is nondecreasing in T
-    taus = [schedule_constrained_convex(1.0, 0.5, 1.0, T, 0.1, 2.0)[0]
-            for T in (10, 50, 100, 1000)]
-    assert all(a <= b + 1e-12 for a, b in zip(taus, taus[1:]))
-
-
 def test_schedule_unconstrained_convex_value_and_identity():
     with pytest.warns(PrivacyRegimeWarning):  # gamma = 1 sentinel
         tau, eta = schedule_unconstrained_convex(1.0, 1.0, 1.0, 100, 0.1, 2.0)
@@ -454,47 +372,21 @@ def test_schedule_unconstrained_convex_value_and_identity():
     assert tau == pytest.approx(3.684, rel=1e-3)
     base = 1.0 / 100 + 0.01
     assert eta * 100 * tau * math.sqrt(base) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_unconstrained_tau_exceeds_constrained():
-    with pytest.warns(PrivacyRegimeWarning):
-        tau_u, _ = schedule_unconstrained_convex(1.0, 1.0, 1.0, 100, 0.1, 2.0)
-        tau_c, _ = schedule_constrained_convex(1.0, 1.0, 1.0, 100, 0.1, 2.0)
-    assert tau_u > tau_c  # exponent -1/(k+1) vs -1/(2k) for k > 1, base < 1
-
-
-def test_schedule_sharp_convex_value():
-    tau, eta = schedule_sharp_convex(2.0, 1.0, 100, 0.1, 2.0)
-    assert tau == pytest.approx(2.0 * 0.02**-0.25, rel=1e-12)
-    assert tau == pytest.approx(5.3183, rel=1e-4)
-    with pytest.raises(ValueError):
-        schedule_sharp_convex(2.0, 1.0, 99, 0.1, 2.0)  # needs T >= ceil(1/phi^2)
-    # k -> large recovers the uniform-Lipschitz threshold G
-    tau_big_k, _ = schedule_sharp_convex(2.0, 1.0, 100, 0.1, 500.0)
-    assert tau_big_k == pytest.approx(2.0, rel=0.01)
-    # coincides with the constrained schedule at gamma = 1 (C playing D_W)
-    with pytest.warns(PrivacyRegimeWarning):
-        tau_c, eta_c = schedule_constrained_convex(2.0, 1.0, 1.0, 100, 0.1, 2.0)
-    assert tau == pytest.approx(tau_c, rel=1e-12)
-    assert eta == pytest.approx(eta_c, rel=1e-12)
-
-
-def test_schedule_nonconvex_value_and_identity():
-    tau, eta = schedule_nonconvex(1.0, 0.5, 1.0, 1.0, 100, 0.1, 2.0)
-    assert tau == pytest.approx(4.0 ** (1.0 / 3.0) * 0.02 ** (-1.0 / 6.0), rel=1e-12)
-    assert tau == pytest.approx(3.0471, rel=1e-4)
-    base = 1.0 / 100 + 0.01
-    assert eta * 100 * tau * 1.0 * math.sqrt(base) == pytest.approx(1.0, rel=1e-12)
-    # unit inner ratio when G = gamma^2 * C * sqrt(L)
-    g = 0.25 * 2.0 * math.sqrt(4.0)
-    tau_unit, _ = schedule_nonconvex(g, 0.5, 2.0, 4.0, 50, 0.1, 3.0)
-    assert tau_unit == pytest.approx(g * (1.0 / 50 + 0.01) ** (-1.0 / 10.0), rel=1e-12)
+    # phi >= 1 is outside the analysis: warned about, still computed
+    with pytest.warns(PrivacyRegimeWarning, match="phi = 1.5 >= 1"):
+        tau, eta = schedule_unconstrained_convex(1.0, 0.5, 1.0, 100, 1.5, 2.0)
+    base = 1.0 / 100 + 1.5**2
+    assert tau == pytest.approx(2.0**0.5 * base ** (-1.0 / 3.0), rel=1e-12)
+    assert eta * 100 * tau * math.sqrt(base) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_schedule_domain_errors():
-    with pytest.raises(ValueError):
-        schedule_constrained_convex(1.0, 1.5, 1.0, 10, 0.1, 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        schedule_unconstrained_convex(1.0, 1.5, 1.0, 10, 0.1, 2.0)
+    with pytest.raises(ValueError, match="k > 1"):
         schedule_unconstrained_convex(1.0, 0.5, 1.0, 10, 0.1, 0.5)
-    with pytest.raises(ValueError):
-        schedule_nonconvex(1.0, 0.5, 1.0, -1.0, 10, 0.1, 2.0)
+    with pytest.raises(ValueError, match="C > 0"):
+        schedule_unconstrained_convex(1.0, 0.5, -1.0, 10, 0.1, 2.0)
+    for phi in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="phi must be positive"):
+            schedule_unconstrained_convex(1.0, 0.5, 1.0, 10, phi, 2.0)

@@ -137,8 +137,9 @@ def test_report_noisy_max_errors():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         report_noisy_max(np.array([]), 1.0, 1.0, rng)
-    with pytest.raises(ValueError):
-        report_noisy_max(np.array([1.0]), -1.0, 1.0, rng)
+    for epsilon in (-1.0, 0.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be positive or math.inf"):
+            report_noisy_max(np.array([1.0]), epsilon, 1.0, rng)
     with pytest.raises(ValueError):
         report_noisy_max(np.array([1.0]), 1.0, 0.0, rng)
 

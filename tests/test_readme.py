@@ -1,8 +1,12 @@
-"""The README's python example runs against the current library API."""
+"""The README's python example runs, and its library table names only what
+the library has."""
 
+import importlib
 import math
 import re
 from pathlib import Path
+
+from dpclip.losses import Problem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +16,28 @@ def test_readme_python_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
     assert math.isfinite(float(capsys.readouterr().out))
+
+
+def library_table_rows(text):
+    """(module, contents) of each row of the "Library overview" table."""
+    section = text.split("## Library overview\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(dpclip(?:\.\w+)*)` \| (.*) \|$", section, re.M)
+
+
+def test_readme_library_table_names_exist():
+    # every backticked plain identifier in a row is an attribute of that
+    # row's module or of Problem, so a deleted name cannot stay in the docs
+    rows = library_table_rows(README.read_text(encoding="utf-8"))
+    assert [module for module, _ in rows] == [
+        "dpclip.privacy", "dpclip.clipping", "dpclip.losses", "dpclip.lipschitz",
+        "dpclip.optimizer", "dpclip.parallel", "dpclip.harness",
+    ]
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for token in re.findall(r"`([^`]+)`", contents):
+            if re.fullmatch(r"[A-Za-z_]\w*", token, re.ASCII) and not (
+                hasattr(module, token) or hasattr(Problem, token)
+            ):
+                missing.append(f"{module_name}: {token}")
+    assert not missing
