@@ -25,7 +25,6 @@ from ..losses import (
     heavy_tailed_logistic_dataset,
     load_dataset_csv,
     logistic_problem,
-    lower_bound_loss,
     planted_logistic_dataset,
     sample_Qv_many,
 )
@@ -369,13 +368,12 @@ def cmd_bias_oracle(spec: ExperimentSpec) -> bool:
 
 
 def cmd_lower_bound_demo(spec: ExperimentSpec) -> list[list]:
-    """Verify the two-atom hard instance numerically, then run DP-SGD on it.
+    """Run DP-SGD on the two-atom hard instance with the unconstrained convex
+    schedule; the risk is measured against the ERM minimizer v/||v||.
 
-    Checks: the sampler's mean matches its closed form, the ERM minimizer is
-    v/||v|| (dense grid at d=2), the gradient-moment bound holds under
-    two-atom enumeration and suboptimality grows linearly outside the unit
-    ball. The achieved risk is reported next to phi^(1-1/k) for information
-    only.
+    The achieved risk is reported next to phi^(1-1/k) for information only.
+    The instance's properties (sampler mean, minimizer location, gradient
+    moment bound, linear growth) are checked by the test suite, not here.
     """
     d = spec.dim
     if d % 2 != 0:
@@ -400,8 +398,6 @@ def cmd_lower_bound_demo(spec: ExperimentSpec) -> list[list]:
         print("lower-bound-demo: degenerate all-zero dataset (objective is 0)")
         return rows
 
-    _verify_hard_instance(qv, xs, rng)
-
     problem = hard_instance_problem(xs)
     w_star = v / np.linalg.norm(v)
     f_star = problem.objective(w_star)
@@ -414,79 +410,10 @@ def cmd_lower_bound_demo(spec: ExperimentSpec) -> list[list]:
     rows = [[seed, risk, phi_scale, 0] for seed, risk in zip(spec.seeds, risks)]
     write_csv(spec.out, ["seed", "risk", "phi_power_scale", "degenerate"], rows)
     print(
-        f"lower-bound-demo: verified instance, {len(rows)} runs -> {spec.out} "
+        f"lower-bound-demo: {len(rows)} runs -> {spec.out} "
         f"(phi^(1-1/k) = {phi_scale:.4g})"
     )
     return rows
-
-
-def _verify_hard_instance(qv: QvSpec, xs: np.ndarray, rng: np.random.Generator) -> None:
-    v = qv.v
-    d = v.size
-    v_norm = float(np.linalg.norm(v))
-    w_star = v / v_norm
-    x_bar = xs.mean(axis=0)
-    x_bar_norm = float(np.linalg.norm(x_bar))
-
-    # sampler mean against its closed form, 4-sigma Monte-Carlo band
-    draws = sample_Qv_many(qv, 100_000, rng)
-    expected = qv.p ** (1.0 - 1.0 / qv.k) * v
-    total_var = qv.p ** (1.0 - 2.0 / qv.k) * (1.0 - qv.p) * v_norm**2
-    band = 4.0 * math.sqrt(total_var / draws.shape[0])
-    deviation = float(np.linalg.norm(draws.mean(axis=0) - expected))
-    if deviation > band:
-        raise OracleFailure(
-            f"sampler mean off by {deviation:.3e} (4-sigma band {band:.3e})"
-        )
-
-    # dense-grid minimizer check (2-D only)
-    if d == 2:
-        grid_best = _grid_argmin_2d(x_bar, resolution=1e-3, extent=1.5)
-        err = float(np.linalg.norm(grid_best - w_star))
-        if err > 2e-3:
-            raise OracleFailure(f"grid argmin {grid_best} is {err:.3e} from v/||v||")
-
-    # gradient moment bound by enumeration over the two atoms
-    heavy = qv.heavy_atom
-    bound = (3.0 * v_norm) ** qv.k
-    for _ in range(100):
-        w = rng.normal(0.0, 2.0, size=d)
-        _, sub = lower_bound_loss(w, heavy)
-        moment = qv.p * float(np.linalg.norm(sub)) ** qv.k
-        if moment > bound * (1.0 + 1e-12):
-            raise OracleFailure("gradient moment bound violated")
-
-    # linear growth outside the unit ball
-    f_star = -x_bar_norm
-    for _ in range(100):
-        w = rng.normal(size=d)
-        w *= (1.0 + 4.0 * rng.random()) / np.linalg.norm(w)  # norms in (1, 5]
-        value = -float(w @ x_bar) + 2.0 * x_bar_norm * (float(np.linalg.norm(w)) - 1.0)
-        slack = value - f_star - x_bar_norm * (float(np.linalg.norm(w)) - 1.0)
-        if slack < -1e-9:
-            raise OracleFailure("sharpness inequality violated outside the unit ball")
-
-
-def _grid_argmin_2d(x_bar: np.ndarray, resolution: float, extent: float) -> np.ndarray:
-    """Argmin of the averaged hard-instance loss over a regular 2-D grid.
-
-    Evaluates in row blocks to bound memory.
-    """
-    coords = np.arange(-extent, extent + resolution / 2, resolution)
-    x_bar_norm = float(np.linalg.norm(x_bar))
-    best_val = math.inf
-    best_w = np.zeros(2)
-    block = 256
-    for start in range(0, coords.size, block):
-        xs0 = coords[start : start + block]
-        X, Y = np.meshgrid(xs0, coords, indexing="ij")
-        R = np.sqrt(X * X + Y * Y)
-        vals = -(X * x_bar[0] + Y * x_bar[1]) + 2.0 * x_bar_norm * np.maximum(R - 1.0, 0.0)
-        idx = np.unravel_index(np.argmin(vals), vals.shape)
-        if vals[idx] < best_val:
-            best_val = float(vals[idx])
-            best_w = np.array([X[idx], Y[idx]])
-    return best_w
 
 
 COMMANDS = {

@@ -206,6 +206,11 @@ def schedule_unconstrained_convex(
         raise ValueError("need G > 0, C > 0, T >= 1, k > 1")
     base = 1.0 / T + phi * phi
     tau = (G / gamma ** (1.0 / k)) * base ** (-1.0 / (k + 1.0))
+    if not 0 < tau < math.inf:
+        raise ValueError(
+            f"schedule clip norm is {tau!r} at phi = {phi:.4g}: "
+            "phi^2 is out of float range (epsilon too small)"
+        )
     eta = (C / (T * tau)) * base**-0.5
     return tau, eta
 

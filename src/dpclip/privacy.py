@@ -85,7 +85,8 @@ def noise_variance(
     ``expected_batch`` is optional; when given, a warning is emitted if
     epsilon >= T * (b/n)^2, since the closed form is only stated for epsilon
     below a constant multiple of that quantity (constant unknown, so this is
-    never enforced).
+    never enforced). An epsilon so small that (n eps)^2 underflows to 0 or
+    the variance overflows raises ``ValueError``.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -93,10 +94,17 @@ def noise_variance(
         raise ValueError("tau must be nonnegative")
     if n < 1:
         raise ValueError("n must be >= 1")
-    sigma_sq = (
-        budget.nu * T * math.log(1.0 / budget.delta) * tau * tau
-        / (n * n * budget.epsilon * budget.epsilon)
-    )
+    numerator = budget.nu * T * math.log(1.0 / budget.delta) * tau * tau
+    denominator = n * n * budget.epsilon * budget.epsilon
+    if denominator == 0:
+        raise ValueError(
+            f"epsilon = {budget.epsilon!r} is too small: (n * epsilon)^2 underflows to 0"
+        )
+    sigma_sq = numerator / denominator
+    if not math.isfinite(sigma_sq):
+        raise ValueError(
+            f"noise variance is {sigma_sq!r} at epsilon = {budget.epsilon!r}, tau = {tau!r}"
+        )
     if expected_batch is not None:
         ratio = expected_batch / n
         if budget.epsilon >= T * ratio * ratio:

@@ -165,35 +165,78 @@ def _forbid_work(monkeypatch, names):
 
 
 @pytest.mark.parametrize(
-    "command, kw, cause",
+    "command, kw, error, cause",
     [
-        ("sweep-clip", dict(clip_candidates=("p0", "inf")), "requires --no-noise"),
-        ("sweep-clip", dict(clip_candidates=("nan",), no_noise=True),
+        ("sweep-clip", dict(clip_candidates=("p0", "inf")), SpecValidationError,
+         "requires --no-noise"),
+        ("sweep-clip", dict(clip_candidates=("nan",), no_noise=True), SpecValidationError,
          "must be positive: 'nan'"),
-        ("rnmm-pipeline", dict(eps_rnmm=math.inf, rnmm_clamp=math.nan),
+        ("rnmm-pipeline", dict(eps_rnmm=math.inf, rnmm_clamp=math.nan), SpecValidationError,
          "clamp bound must be positive, got nan"),
-        ("rnmm-pipeline", dict(eps_rnmm=-math.inf), "need 0 < eps_rnmm < eps_total"),
+        ("rnmm-pipeline", dict(eps_rnmm=-math.inf), SpecValidationError,
+         "need 0 < eps_rnmm < eps_total"),
         ("phi-scaling", dict(synthetic="heavy", n_list=(600, 20), batch=30.0),
-         "exceeds n=20"),
+         SpecValidationError, "exceeds n=20"),
         ("phi-scaling", dict(synthetic="heavy", n_list=(150,), moment_k=0.0),
-         "k must exceed 1"),
+         SpecValidationError, "k must exceed 1"),
         ("lower-bound-demo", dict(synthetic=None, dim=2, n=10, batch=50.0),
-         "exceeds n=10"),
-        ("bias-oracle", dict(p_list=(2.0, math.nan)), "all moment orders p must exceed 1"),
+         SpecValidationError, "exceeds n=10"),
+        ("bias-oracle", dict(p_list=(2.0, math.nan)), SpecValidationError,
+         "all moment orders p must exceed 1"),
+        # a tiny epsilon underflows (n eps)^2 to 0, or overflows sigma^2 or phi^2
+        ("sweep-clip", dict(epsilon=1e-300), ValueError, "epsilon = 1e-300 is too small"),
+        ("sweep-clip", dict(epsilon=1e-160), ValueError,
+         "noise variance is inf at epsilon = 1e-160"),
+        ("phi-scaling", dict(synthetic="heavy", n_list=(150,), epsilon=1e-160),
+         ValueError, r"clip norm is 0.0 .*epsilon too small"),
     ],
     ids=["sweep-inf-without-no-noise", "sweep-nan-no-noise", "rnmm-clamp-nan",
          "rnmm-eps-minus-inf", "phi-batch-over-min-n", "phi-moment-k-zero",
-         "lower-bound-batch-over-n", "bias-oracle-p-nan"],
+         "lower-bound-batch-over-n", "bias-oracle-p-nan", "sweep-epsilon-underflow",
+         "sweep-epsilon-sigma-overflow", "phi-epsilon-phi-overflow"],
 )
-def test_invalid_input_fails_before_any_run(monkeypatch, tmp_path, command, kw, cause):
+@pytest.mark.filterwarnings("ignore:phi = .* >= 1")  # a tiny epsilon makes phi huge
+def test_invalid_input_fails_before_any_run(
+    monkeypatch, tmp_path, command, kw, error, cause
+):
     from dpclip.harness import commands
 
-    _forbid_work(monkeypatch, ("reference_minimum", "run_dp_sgd", "_verify_hard_instance",
+    _forbid_work(monkeypatch, ("reference_minimum", "run_dp_sgd", "sample_Qv_many",
                                "clipping_bias_exact"))
     out = tmp_path / "x.csv"
-    with pytest.raises(SpecValidationError, match=cause):
+    with pytest.raises(error, match=cause):
         commands.COMMANDS[command](_tiny_spec(command, out, **kw))
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-clip", "--synthetic", "planted", "--n", "60", "--dim", "3",
+         "--iterations", "10", "--batch", "10", "--epsilon", "1e-300"],
+        ["phi-scaling", "--epsilon", "1e-160"],
+        ["lower-bound-demo", "--epsilon", "1e-160"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.filterwarnings("ignore:phi = .* >= 1")
+def test_cli_tiny_epsilon_exits_1_naming_epsilon(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "epsilon" in err
+    assert not out.exists()
+
+
+def test_lower_bound_demo_has_no_sampling_oracle(tmp_path):
+    # the command checks no property of the instance by Monte Carlo: a 4-sigma
+    # band on fresh sampler draws misses on about one master seed in 20,000,
+    # this one among them, and turned a valid run into exit 2
+    out = tmp_path / "lb.csv"
+    assert main(["lower-bound-demo", "--master-seed", "19585", "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").strip().split("\n")
+    assert lines[0] == "seed,risk,phi_power_scale,degenerate"
+    assert len(lines) == 2
 
 
 @pytest.mark.parametrize(

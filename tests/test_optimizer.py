@@ -317,6 +317,9 @@ def test_noiseless_convergence_with_min_lipschitz_clip():
 
 
 def test_gradient_estimator_unbiased_when_clipping_inactive():
+    # at b = n with clipping inactive only the noise is random: each step is
+    # bitwise the full gradient plus sqrt(sigma_sq) times the standard normal
+    # draw that follows the n Poisson uniforms, so the estimator is unbiased
     rng = np.random.default_rng(9)
     prob = geometric_median_problem(rng.normal(size=(5, 2)))
     w = np.array([0.3, 0.8])
@@ -324,15 +327,14 @@ def test_gradient_estimator_unbiased_when_clipping_inactive():
     config = DpSgdConfig(
         T=1, eta=1.0, tau=10.0, b=float(prob.n), sigma_sq=sigma_sq, w0=w
     )
-    step_rng = np.random.default_rng(10)
-    draws = 100_000
-    acc = np.zeros(2)
-    for _ in range(draws):
-        acc += (w - dp_sgd_step(w, prob, config, step_rng)) / config.eta
-    g_bar = acc / draws
-    expected = prob.full_gradient(w)
-    band = 4.0 * math.sqrt(sigma_sq / draws)  # only the noise is random at b=n
-    assert np.all(np.abs(g_bar - expected) <= band)
+    full = prob.full_gradient(w)
+    for seed in range(200):
+        replay = np.random.default_rng(seed)
+        replay.random(prob.n)
+        z = replay.normal(0.0, 1.0, size=prob.dim)
+        expected = w - config.eta * (full + (0.0 + math.sqrt(sigma_sq) * z))
+        step = dp_sgd_step(w, prob, config, np.random.default_rng(seed))
+        assert np.array_equal(step, expected)
 
 
 def test_second_moment_bound():
@@ -389,4 +391,10 @@ def test_schedule_domain_errors():
         schedule_unconstrained_convex(1.0, 0.5, -1.0, 10, 0.1, 2.0)
     for phi in (0.0, -0.1, math.nan):
         with pytest.raises(ValueError, match="phi must be positive"):
+            schedule_unconstrained_convex(1.0, 0.5, 1.0, 10, phi, 2.0)
+    # phi^2 overflows (epsilon ~ 1e-160), so tau would be 0 and eta = C / 0
+    for phi in (1e160, math.inf):
+        with pytest.warns(PrivacyRegimeWarning), pytest.raises(
+            ValueError, match="clip norm is 0.0 .*epsilon too small"
+        ):
             schedule_unconstrained_convex(1.0, 0.5, 1.0, 10, phi, 2.0)

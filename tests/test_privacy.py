@@ -88,6 +88,20 @@ def test_noise_variance_tau_scaling():
     assert noise_variance(10, 2.5, 50, budget).sigma_sq == 4.0 * base
 
 
+def test_noise_variance_rejects_tiny_epsilon():
+    # (n eps)^2 underflows to 0, or sigma^2 overflows, instead of a
+    # ZeroDivisionError or an infinite variance reaching the runs
+    with pytest.raises(ValueError, match="epsilon = 1e-300 is too small"):
+        noise_variance(10, 1.0, 60, PrivacyBudget(1e-300, 1e-5))
+    with pytest.raises(ValueError, match="noise variance is inf at epsilon = 1e-160"):
+        noise_variance(10, 1.0, 60, PrivacyBudget(1e-160, 1e-5))
+    # a tiny epsilon that still gives a finite variance keeps the formula's bits
+    budget = PrivacyBudget(1e-150, 1e-5)
+    assert noise_variance(10, 1.0, 60, budget).sigma_sq == (
+        10 * math.log(1e5) * 1.0 * 1.0 / (60 * 60 * 1e-150 * 1e-150)
+    )
+
+
 def test_noise_variance_inverts_to_log_inv_delta():
     rng = np.random.default_rng(11)
     for _ in range(100):
