@@ -18,19 +18,26 @@ def clip(z: np.ndarray, c: float) -> np.ndarray:
     return clip_rows(z.reshape(1, -1), c).reshape(z.shape)
 
 
-def clip_rows(rows: np.ndarray, c: float) -> np.ndarray:
-    """Rescale every row of a 2-D array to norm at most c; zero rows stay zero.
+def clip_rows(rows: np.ndarray, c: float | np.ndarray) -> np.ndarray:
+    """Rescale every row of a 2-D array to norm at most its threshold; zero
+    rows stay zero.
 
-    Rows with norm at most c are scaled by exactly 1.0, so the no-op case is
-    bit-identical to the input row.
+    ``c`` is one threshold for every row or a vector of one per row. Rows
+    with norm at most their threshold are scaled by exactly 1.0, so the no-op
+    case is bit-identical to the input row.
     """
-    if not c > 0:
-        raise ValueError(f"clip threshold must be positive, got {c}")
+    c = np.asarray(c, dtype=float)
+    bad = ~(c > 0)
+    if bad.any():
+        raise ValueError(f"clip threshold must be positive, got {c[bad][0]}")
     rows = np.ascontiguousarray(rows, dtype=float)
+    if c.ndim and c.shape != rows.shape[:1]:
+        raise ValueError(f"need one clip threshold per row: {c.shape} for {rows.shape[0]} rows")
     norms = np.sqrt(np.sum(rows * rows, axis=1))
+    thresholds = np.broadcast_to(c, norms.shape)
     scale = np.ones_like(norms)
-    over = norms > c
-    scale[over] = c / norms[over]
+    over = norms > thresholds
+    scale[over] = thresholds[over] / norms[over]
     return rows * scale[:, None]
 
 

@@ -299,7 +299,9 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
         raise SpecValidationError("moment order k must exceed 1")
     budget = PrivacyBudget(spec.epsilon, spec.delta, spec.nu)
     k = spec.moment_k
-    rows = []
+    # every size's schedule and noise first, so a size that cannot be run
+    # fails before the reference oracle or any DP-SGD run of another size
+    cases = []
     for n in spec.n_list:
         rng = np.random.default_rng([spec.master_seed, _TAG_HEAVY, n])
         train = heavy_tailed_logistic_dataset(n, spec.dim, spec.classes, spec.tail_k, rng)
@@ -311,7 +313,9 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
         tau, eta = schedule_unconstrained_convex(
             g_emp, spec.gamma, spec.growth_c, spec.iterations, phi, k
         )
-        sigma_sq = _sigma_sq_for(spec, tau, problem)
+        cases.append((n, phi, problem, tau, eta, _sigma_sq_for(spec, tau, problem)))
+    rows = []
+    for n, phi, problem, tau, eta, sigma_sq in cases:
         _, f_star = _reference(problem, spec)
         (risks,) = _run_cells(problem, None, f_star, spec, [(tau, eta, sigma_sq)])
         rows.append([n, phi, k, float(np.median(risks))])

@@ -100,11 +100,14 @@ class Problem:
     """An ERM objective bundle: f(w) = (1/n) sum_i f_i(w).
 
     The contract is batch-first: ``batch_loss(w, idx)`` returns the
-    per-sample losses f_i(w) for i in ``idx`` and ``batch_grad(w, idx)`` the
-    (len(idx), dim) matrix of their (sub)gradients. Every objective family
-    supplies exactly these two. A problem given scalar ``loss(w, i)`` and
-    ``grad(w, i)`` instead is lifted to batch form once, at construction, by
-    looping over indices.
+    per-sample losses f_i(w) for i in ``idx``, and ``batch_grad(W, idx)``
+    takes a stack ``W`` of K iterates, shape (K, dim), and returns the
+    config-major (K * len(idx), dim) matrix of their (sub)gradients: rows
+    k * len(idx) to (k + 1) * len(idx) are iterate k's, bitwise what iterate
+    k gives alone. Every objective family supplies exactly these two. A
+    problem given scalar ``loss(w, i)`` and ``grad(w, i)`` instead is lifted
+    to batch form once, at construction, by looping over iterates and
+    indices.
 
     ``lipschitz[i]`` upper-bounds the per-sample (sub)gradient norm;
     ``per_sample_min[i]``, when present, is min_w f_i(w).
@@ -132,9 +135,9 @@ class Problem:
             def batch_loss(w, idx):
                 return np.array([loss(w, int(i)) for i in idx], dtype=float)
 
-            def batch_grad(w, idx):
-                rows = [grad(w, int(i)) for i in idx]
-                return np.array(rows, dtype=float).reshape(len(idx), dim)
+            def batch_grad(W, idx):
+                rows = [grad(w, int(i)) for w in W for i in idx]
+                return np.array(rows, dtype=float).reshape(len(W) * len(idx), dim)
 
             self.batch_loss, self.batch_grad = batch_loss, batch_grad
 
@@ -143,8 +146,10 @@ class Problem:
         return self.batch_loss(w, idx)
 
     def grads_at(self, w: np.ndarray, indices: np.ndarray | None = None) -> np.ndarray:
+        """The (len(idx), dim) gradient rows at one iterate ``w``, or at a
+        (K, dim) stack of iterates the config-major (K * len(idx), dim) rows."""
         idx = np.arange(self.n) if indices is None else np.asarray(indices, dtype=np.intp)
-        return self.batch_grad(w, idx)
+        return self.batch_grad(np.atleast_2d(w), idx)
 
     def objective(self, w: np.ndarray) -> float:
         return float(self.losses_at(w).mean())
@@ -213,6 +218,31 @@ def logistic_grad_norm_exact(p: np.ndarray, y: int, x_norm: float) -> float:
 _ROW_BLOCK = 4096  # rows per block of the row-norm pass
 
 
+def _class_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum the m rows of a class-major (m, n) array in the order in which
+    numpy's pairwise summation adds the m entries of one row of the row-major
+    (n, m) array, so the result is bitwise ``rows.T.copy().sum(axis=1)``.
+
+    Fewer than 8 terms are added left to right; up to 128 go into eight
+    partial sums, one per residue mod 8, combined as a tree before the
+    leftover terms; more are split in two at a multiple of 8 below half.
+    """
+    m = len(rows)
+    if m < 8:
+        return functools.reduce(np.add, rows)
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        return _class_sum(rows[:half]) + _class_sum(rows[half:])
+    acc = [rows[j].copy() for j in range(8)]
+    for i in range(8, m - m % 8, 8):
+        for j in range(8):
+            acc[j] += rows[i + j]
+    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for i in range(m - m % 8, m):
+        out += rows[i]
+    return out
+
+
 def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Problem:
     """Multinomial logistic ERM over the dataset's rows as stored.
 
@@ -252,30 +282,43 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
         lse = np.log(np.exp(z).sum(axis=1))
         return lse - z[np.arange(len(idx)), y[idx]]
 
-    def batch_grad(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def batch_grad(W: np.ndarray, idx: np.ndarray) -> np.ndarray:
         Xb = X[idx]
-        logits = Xb @ w.reshape(m, d).T
-        z = np.exp(logits - logits.max(axis=1, keepdims=True))
-        p = z / z.sum(axis=1, keepdims=True)
-        p[np.arange(len(idx)), y[idx]] -= 1.0
-        return np.einsum("bm,bd->bmd", p, Xb).reshape(len(idx), m * d)
+        K, B = len(W), len(idx)
+        # one gemm per iterate, each the call a single iterate makes; the
+        # class max and sum then run over strided class slices of the
+        # contiguous (K, B, m) logits, in the order of a row-wise max and sum
+        logits = Xb @ W.reshape(K, m, d).transpose(0, 2, 1)
+        z = np.exp(logits - functools.reduce(np.maximum, np.moveaxis(logits, 2, 0))[..., None])
+        p = z / _class_sum(np.moveaxis(z, 2, 0))[..., None]
+        p[:, np.arange(B), y[idx]] -= 1.0
+        # one outer product per iterate: a single (K, B, m, d) einsum is
+        # slower at b = 500
+        out = np.empty((K, B, m, d))
+        for k in range(K):
+            np.einsum("bm,bd->bmd", p[k], Xb, out=out[k])
+        return out.reshape(K * B, m * d)
 
-    onehot_at = np.arange(n) * m + y  # flat index of each row's true-class entry
+    XT = true_at = None  # made on the first full pass, which most runs never make
 
     def full_value_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
-        # one logits pass and one exp shared by the mean loss and the summed
-        # gradient, bitwise equal to batch_loss/batch_grad over all rows: the
-        # row max is exact in any order, and einsum without optimize= adds
-        # the rows sequentially, as grads_at(w).sum(axis=0) does, where a
-        # BLAS (P - Y)^T X would not
-        logits = X @ w.reshape(m, d).T
-        z = logits - functools.reduce(np.maximum, logits.T)[:, None]
+        # one class-major logits pass and one exp shared by the mean loss and
+        # the summed gradient, bitwise equal to batch_loss/batch_grad over all
+        # rows: the class max is exact in any order, _class_sum adds in numpy's
+        # row-sum order, and einsum without optimize= adds the rows
+        # sequentially, as grads_at(w).sum(axis=0) does, where a BLAS
+        # (P - Y)^T X would not
+        nonlocal XT, true_at
+        if XT is None:
+            XT, true_at = np.ascontiguousarray(X.T), y * n + np.arange(n)
+        logits = w.reshape(m, d) @ XT
+        z = logits - functools.reduce(np.maximum, logits)
         e = np.exp(z)
-        s = e.sum(axis=1)
-        f = float((np.log(s) - z.ravel()[onehot_at]).mean())
-        e /= s[:, None]
-        e.ravel()[onehot_at] -= 1.0
-        return f, np.einsum("bm,bd->md", e, X).ravel() / n
+        s = _class_sum(e)
+        f = float((np.log(s) - z.ravel()[true_at]).mean())
+        e /= s
+        e.ravel()[true_at] -= 1.0
+        return f, np.einsum("bm,bd->md", np.ascontiguousarray(e.T), X).ravel() / n
 
     return Problem(
         n=n,
@@ -304,13 +347,13 @@ def geometric_median_problem(anchors: np.ndarray) -> Problem:
     def batch_loss(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return np.linalg.norm(w - A[idx], axis=1)
 
-    def batch_grad(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        delta = w - A[idx]
-        norms = np.linalg.norm(delta, axis=1)
+    def batch_grad(W: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        delta = W[:, None, :] - A[idx]
+        norms = np.linalg.norm(delta, axis=2)
         out = np.zeros_like(delta)
         nz = norms > 0
         out[nz] = delta[nz] / norms[nz, None]
-        return out
+        return out.reshape(len(W) * len(idx), d)
 
     return Problem(
         n=n,
@@ -405,11 +448,14 @@ def hard_instance_problem(xs: np.ndarray) -> Problem:
         hinge = max(float(np.linalg.norm(w)) - 1.0, 0.0)
         return -(X[idx] @ w) + 2.0 * norms[idx] * hinge
 
-    def batch_grad(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        out = -X[idx].copy()
-        wnorm = float(np.linalg.norm(w))
-        if wnorm > 1.0:
-            out = out + np.outer(2.0 * norms[idx] / wnorm, w)
+    def batch_grad(W: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        B = len(idx)
+        out = np.tile(-X[idx], (len(W), 1))
+        for k, w in enumerate(W):
+            # rows at ||w|| <= 1 are left as -x, so a -0.0 entry stays -0.0
+            wnorm = float(np.linalg.norm(w))
+            if wnorm > 1.0:
+                out[k * B : (k + 1) * B] += np.outer(2.0 * norms[idx] / wnorm, w)
         return out
 
     return Problem(

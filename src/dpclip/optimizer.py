@@ -86,7 +86,9 @@ def dp_sgd_step(
     one batch and one standard normal draw z, so they must agree on ``b``
     and on whether ``sigma_sq > 0``; each adds its own ``sqrt(sigma_sq) * z``,
     which is bitwise the draw ``rng.normal(0, sqrt(sigma_sq), dim)`` a single
-    config makes.
+    config makes. The iterates are stacked, so one ``grads_at`` call gives
+    every config's gradient rows and one ``clip_rows`` call, with each
+    config's threshold on its own rows, clips them all.
 
     An empty Poisson batch has ``(0, dim)`` gradients whose clipped sum is the
     zero vector, so it contributes noise only. With sigma_sq = 0 no noise is
@@ -100,14 +102,16 @@ def dp_sgd_step(
         raise ValueError("configs stepped together must share b and whether sigma_sq > 0")
     batch = poisson_sample(problem.n, b, rng)
     z = gaussian_noise(NoiseSpec(1.0, problem.dim), rng) if noisy else None
-    out = []
-    for w_c, c in zip(ws, configs):
-        g = clip_rows(problem.grads_at(w_c, batch), c.tau).sum(axis=0) / b
-        if z is not None:
-            # 0.0 + scale * z is how numpy's normal(loc=0.0, scale) forms a draw
-            g = g + (0.0 + math.sqrt(c.sigma_sq) * z)
-        out.append(w_c - c.eta * g)
-    return out[0] if one else out
+    W = np.stack(ws)
+    K, B = W.shape[0], batch.size
+    rows = clip_rows(problem.grads_at(W, batch), np.repeat([c.tau for c in configs], B))
+    g = rows.reshape(K, B, problem.dim).sum(axis=1) / b
+    if z is not None:
+        # 0.0 + scale * z is how numpy's normal(loc=0.0, scale) forms a draw
+        scales = np.array([math.sqrt(c.sigma_sq) for c in configs])
+        g = g + (0.0 + scales[:, None] * z)
+    W = W - np.array([c.eta for c in configs])[:, None] * g
+    return W[0] if one else list(W)
 
 
 def run_dp_sgd(

@@ -30,6 +30,13 @@ def test_clip_rejects_nonpositive_threshold():
             clip(np.ones(2), c)
         with pytest.raises(ValueError):
             clip_rows(np.ones((2, 2)), c)
+    # a per-row vector is rejected, with the same message, by its first bad entry
+    for c, bad in (([1.0, 0.0, 2.0], "0.0"), ([1.0, 2.0, -3.0], "-3.0"),
+                   ([np.nan, 1.0, 2.0], "nan")):
+        with pytest.raises(ValueError, match=f"^clip threshold must be positive, got {bad}$"):
+            clip_rows(np.ones((3, 2)), np.array(c))
+    with pytest.raises(ValueError, match="one clip threshold per row"):
+        clip_rows(np.ones((3, 2)), np.ones(2))
 
 
 def test_clip_norm_and_homogeneity():
@@ -54,6 +61,18 @@ def test_clip_rows_matches_clip_bitwise():
     out = clip_rows(rows, 1.5)
     for i in range(rows.shape[0]):
         assert np.array_equal(out[i], clip(rows[i], 1.5))
+
+    # one threshold per row: each row is clipped at its own, and a row under
+    # its threshold is returned as it was
+    taus = rng.uniform(0.5, 4.0, size=rows.shape[0])
+    taus[3] = 1e-4  # the small row 3 is over its own threshold
+    out = clip_rows(rows, taus)
+    norms = np.linalg.norm(rows, axis=1)
+    assert np.any(norms > taus) and np.any(norms <= taus)
+    for i in range(rows.shape[0]):
+        assert np.array_equal(out[i], clip(rows[i], taus[i]))
+        if norms[i] <= taus[i]:
+            assert np.array_equal(out[i], rows[i])
 
 
 def test_distribution_validation():

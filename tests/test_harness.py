@@ -189,11 +189,17 @@ def _forbid_work(monkeypatch, names):
          "noise variance is inf at epsilon = 1e-160"),
         ("phi-scaling", dict(synthetic="heavy", n_list=(150,), epsilon=1e-160),
          ValueError, r"clip norm is 0.0 .*epsilon too small"),
+        # the CLI's default sizes, where only the later n fails: the earlier
+        # one must not run first
+        ("phi-scaling", dict(synthetic="heavy", n_list=(2000, 150), epsilon=1e-155,
+                             dim=20, append_bias=False),
+         ValueError, r"clip norm is 0.0 at phi = 1.752e\+154"),
     ],
     ids=["sweep-inf-without-no-noise", "sweep-nan-no-noise", "rnmm-clamp-nan",
          "rnmm-eps-minus-inf", "phi-batch-over-min-n", "phi-moment-k-zero",
          "lower-bound-batch-over-n", "bias-oracle-p-nan", "sweep-epsilon-underflow",
-         "sweep-epsilon-sigma-overflow", "phi-epsilon-phi-overflow"],
+         "sweep-epsilon-sigma-overflow", "phi-epsilon-phi-overflow",
+         "phi-later-n-fails-first"],
 )
 @pytest.mark.filterwarnings("ignore:phi = .* >= 1")  # a tiny epsilon makes phi huge
 def test_invalid_input_fails_before_any_run(

@@ -330,16 +330,89 @@ def test_logistic_row_norms_are_bitwise_linalg_norm_across_blocks(order):
 @pytest.mark.parametrize("n", [1, 7, 2000, 8193])
 @pytest.mark.parametrize("bias", [False, True], ids=["raw", "bias"])
 def test_logistic_value_and_grad_is_bitwise_two_call(n, bias):
+    # the class-major pass reduces over classes, so its order depends on m:
+    # 2 and 3 are the c12 and c08 class counts, 9 takes numpy's pairwise branch
     rng = np.random.default_rng(n)
     features = rng.normal(size=(n, 5)) * rng.pareto(2.0, size=(n, 1))
-    ds = Dataset(np.asfortranarray(features), rng.integers(0, 4, n))
-    prob = logistic_problem(ds.with_bias() if bias else ds, 4)
-    assert prob.full_value_and_grad is not None
-    for scale in (0.0, 0.3, 3.0, 30.0):
-        w = scale * rng.normal(size=prob.dim)
-        f, g = prob.value_and_grad(w)
-        assert f == prob.objective(w)
-        assert np.array_equal(g, prob.full_gradient(w))
+    for m in (2, 3, 4, 9):
+        ds = Dataset(np.asfortranarray(features), rng.integers(0, m, n))
+        prob = logistic_problem(ds.with_bias() if bias else ds, m)
+        assert prob.full_value_and_grad is not None
+        for scale in (0.0, 0.3, 3.0, 30.0):
+            w = scale * rng.normal(size=prob.dim)
+            f, g = prob.value_and_grad(w)
+            assert f == prob.objective(w)
+            assert np.array_equal(g, prob.full_gradient(w))
+
+
+def test_class_sum_is_numpy_row_sum_bitwise():
+    rng = np.random.default_rng(43)
+    for m in [*range(2, 26), 127, 128, 129, 136, 300]:
+        e = np.exp(5.0 * rng.normal(size=(50, m)))
+        assert np.array_equal(losses._class_sum(np.ascontiguousarray(e.T)), e.sum(axis=1))
+
+
+def _same_bits(a, b):
+    # array_equal takes -0.0 == 0.0; the bytes tell the signs apart
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _logistic_rows(X, y, m, w, idx):
+    """The single-iterate logistic gradient rows as computed before iterates
+    were stacked: the reference the stacked rows must equal bitwise."""
+    Xb = X[idx]
+    logits = Xb @ w.reshape(m, -1).T
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = z / z.sum(axis=1, keepdims=True)
+    p[np.arange(len(idx)), y[idx]] -= 1.0
+    return np.einsum("bm,bd->bmd", p, Xb).reshape(len(idx), -1)
+
+
+def test_stacked_grads_are_each_iterates_rows_bitwise():
+    rng = np.random.default_rng(41)
+    idx = np.array([0, 3, 5, 7, 11, 3])
+    scales = np.array([[0.0], [0.3], [3.0], [30.0]])
+    cases = []
+    for m in (2, 3, 4):
+        features = rng.normal(size=(12, 5)) * rng.pareto(2.0, size=(12, 1))
+        ds = Dataset(np.asfortranarray(features), rng.integers(0, m, 12))
+        for data in (ds, ds.with_bias()):
+            prob = logistic_problem(data, m)
+            W = scales * rng.normal(size=(4, prob.dim))
+            for w in W:
+                rows = _logistic_rows(data.features, data.labels, m, w, idx)
+                assert _same_bits(prob.grads_at(w, idx), rows)
+            cases.append((prob, W))
+
+    anchors = rng.normal(size=(12, 3))
+    median = geometric_median_problem(anchors)
+    # the second iterate sits on anchor 5, a kink whose subgradient is 0
+    cases.append((median, np.stack([rng.normal(size=3), anchors[5], anchors[3] + 1.0])))
+
+    xs = rng.normal(size=(12, 3))
+    xs[[3, 7]] = 0.0  # their rows are -0.0 wherever ||w|| <= 1
+    hard = hard_instance_problem(xs)
+    W = np.array([[0.5, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -2.0]])  # below, at, above 1
+    cases.append((hard, W))
+    G = hard.grads_at(W, idx).reshape(3, len(idx), 3)
+    assert np.all(G[:2, [1, 3]] == 0.0) and np.all(np.signbit(G[:2, [1, 3]]))
+
+    def median_loss(w, i):
+        return float(np.linalg.norm(w - anchors[i]))
+
+    def median_grad(w, i):
+        delta = w - anchors[i]
+        norm = np.linalg.norm(delta)
+        return delta / norm if norm > 0 else np.zeros_like(delta)
+
+    lifted = Problem(n=12, dim=3, loss=median_loss, grad=median_grad, lipschitz=np.ones(12))
+    cases.append((lifted, np.stack([rng.normal(size=3), anchors[5]])))
+
+    for prob, W in cases:
+        stacked = prob.grads_at(W, idx)
+        assert stacked.shape == (len(W) * len(idx), prob.dim)
+        assert _same_bits(stacked, np.concatenate([prob.grads_at(w, idx) for w in W]))
+        assert prob.grads_at(W, []).shape == (0, prob.dim)
 
 
 def test_value_and_grad_fallback_families():
