@@ -1,27 +1,1 @@
 """Experiment harness: spec types, commands and the CLI."""
-
-from .commands import (
-    COMMANDS,
-    SweepReport,
-    cmd_bias_oracle,
-    cmd_lower_bound_demo,
-    cmd_phi_scaling,
-    cmd_rnmm_pipeline,
-    cmd_sweep_clip,
-    resolve_candidates,
-)
-from .spec import ExperimentSpec, OracleFailure, SpecValidationError
-
-__all__ = [
-    "COMMANDS",
-    "SweepReport",
-    "ExperimentSpec",
-    "OracleFailure",
-    "SpecValidationError",
-    "cmd_bias_oracle",
-    "cmd_lower_bound_demo",
-    "cmd_phi_scaling",
-    "cmd_rnmm_pipeline",
-    "cmd_sweep_clip",
-    "resolve_candidates",
-]

@@ -54,7 +54,9 @@ class SweepReport:
     rows: list[list]  # CSV rows (tau, tau_kind, eta_best, mean, std)
 
 
-def _dataset_from_spec(spec: ExperimentSpec) -> tuple[Dataset, Dataset | None]:
+def _dataset_from_spec(spec: ExperimentSpec, *key: int) -> tuple[Dataset, Dataset | None]:
+    """The spec's training data and held-out split; ``key`` extends the seed of
+    the heavy-tailed generator, so each phi-scaling size draws its own data."""
     if spec.csv is not None:
         train = load_dataset_csv(spec.csv, append_bias=spec.append_bias)
         test = None
@@ -69,7 +71,7 @@ def _dataset_from_spec(spec: ExperimentSpec) -> tuple[Dataset, Dataset | None]:
             spec.n, spec.dim, spec.classes, rng, spec.norm_low, spec.norm_high
         )
     elif spec.synthetic == "heavy":
-        rng = np.random.default_rng([spec.master_seed, _TAG_HEAVY])
+        rng = np.random.default_rng([spec.master_seed, _TAG_HEAVY, *key])
         train = heavy_tailed_logistic_dataset(
             spec.n, spec.dim, spec.classes, spec.tail_k, rng
         )
@@ -80,9 +82,9 @@ def _dataset_from_spec(spec: ExperimentSpec) -> tuple[Dataset, Dataset | None]:
     return train, None
 
 
-def _build_problem(spec: ExperimentSpec) -> tuple[Problem, Dataset | None]:
+def _build_problem(spec: ExperimentSpec, *key: int) -> tuple[Problem, Dataset | None]:
     """The logistic problem on the spec's data and the held-out split, if any."""
-    train, test = _dataset_from_spec(spec)
+    train, test = _dataset_from_spec(spec, *key)
     m = train.num_classes if spec.csv is not None else spec.classes
     if test is not None:
         m = max(m, test.num_classes)
@@ -303,11 +305,7 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
     # fails before the reference oracle or any DP-SGD run of another size
     cases = []
     for n in spec.n_list:
-        rng = np.random.default_rng([spec.master_seed, _TAG_HEAVY, n])
-        train = heavy_tailed_logistic_dataset(n, spec.dim, spec.classes, spec.tail_k, rng)
-        if spec.append_bias:
-            train = train.with_bias()
-        problem = logistic_problem(train, spec.classes)
+        problem, _ = _build_problem(replace(spec, n=n, synthetic="heavy"), n)
         phi = compute_phi(n, problem.dim, budget)
         g_emp = float(np.mean(problem.lipschitz**k) ** (1.0 / k))
         tau, eta = schedule_unconstrained_convex(

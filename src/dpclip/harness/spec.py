@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields
 from types import UnionType
@@ -27,9 +28,10 @@ class ExperimentSpec:
     Each field's annotation is its only declaration: the CLI makes a flag of
     it, and every value, from a flag, a JSON config file or a direct call, is
     checked against it and stored as that type (a float field takes 10 as
-    10.0, a tuple field takes a list) before any command starts. The seeds,
-    output path and DP-SGD controls are range-checked here too; other fields
-    are validated by the command that reads them.
+    10.0, a tuple field takes a list) before any command starts. No float may
+    be infinite, except where inf is the field's sentinel. The seeds, output
+    path and DP-SGD controls are range-checked here too; other fields are
+    validated by the command that reads them.
     """
 
     command: str
@@ -130,10 +132,22 @@ def _as(kind, value):
     raise TypeError
 
 
+# inf is the documented sentinel of these float fields: unit radii for the
+# heavy-tailed data, a non-private selection for report noisy max
+_INF_SENTINELS = {"tail_k", "eps_rnmm"}
+
+
 def _conform(f, value):
     if value is None and type(None) in get_args(_TYPES[f.name]):
         return None
     try:
-        return _as(field_type(f.name), value)
+        value = _as(field_type(f.name), value)
     except TypeError:
         raise SpecValidationError(f"{f.name} must be {f.type}, got {value!r}") from None
+    items = value if isinstance(value, tuple) else (value,)
+    if f.name not in _INF_SENTINELS and any(
+        isinstance(v, float) and math.isinf(v) for v in items
+    ):
+        hint = "; --no-noise runs without noise" if f.name == "epsilon" else ""
+        raise SpecValidationError(f"{f.name} must be finite, got {value!r}{hint}")
+    return value

@@ -480,6 +480,14 @@ def _planted_labels(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
     return np.argmax(X @ w_true.T, axis=1)
 
 
+def _check_sizes(n: int, d: int, m: int) -> None:
+    for name, value, low in (
+        ("n (samples)", n, 1), ("d (features)", d, 1), ("m (classes)", m, 2)
+    ):
+        if not value >= low:
+            raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
 def heavy_tailed_logistic_dataset(
     n: int,
     d: int,
@@ -493,6 +501,7 @@ def heavy_tailed_logistic_dataset(
     ``tail_k = math.inf`` degenerates to unit radii. Labels come from a
     planted noiseless linear rule.
     """
+    _check_sizes(n, d, m)
     if not (tail_k > 1):
         raise ValueError("tail_k must exceed 1")
     u = rng.normal(size=(n, d))
@@ -518,8 +527,11 @@ def planted_logistic_dataset(
     Spreading the norms spreads the per-sample Lipschitz constants, giving a
     controllable max/min ratio.
     """
-    if not 0 < norm_low <= norm_high:
-        raise ValueError("need 0 < norm_low <= norm_high")
+    _check_sizes(n, d, m)
+    if not 0 < norm_low <= norm_high < math.inf:
+        raise ValueError(
+            f"need 0 < norm_low <= norm_high < inf, got {norm_low!r} and {norm_high!r}"
+        )
     u = rng.normal(size=(n, d))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     r = np.exp(rng.uniform(math.log(norm_low), math.log(norm_high), size=n))

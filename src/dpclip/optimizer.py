@@ -51,9 +51,9 @@ class DpSgdConfig:
             raise ValueError(f"T must be an integer >= 1, got {self.T!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not self.eta >= 0:
+        if not 0 <= self.eta < math.inf:
             # eta = 0 is allowed as a degenerate no-op step
-            raise ValueError("eta must be nonnegative")
+            raise ValueError(f"eta must be nonnegative and finite, got {self.eta!r}")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         if not self.b > 0:
@@ -216,6 +216,11 @@ def schedule_unconstrained_convex(
             "phi^2 is out of float range (epsilon too small)"
         )
     eta = (C / (T * tau)) * base**-0.5
+    if not 0 < eta < math.inf:
+        raise ValueError(
+            f"schedule step size is {eta!r} at clip norm {tau!r}: "
+            "C / (T tau) is out of float range"
+        )
     return tau, eta
 
 

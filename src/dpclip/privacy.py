@@ -143,7 +143,7 @@ def report_noisy_max(
         return int(np.argmax(scores))
     if not epsilon > 0:
         raise ValueError("epsilon must be positive or math.inf")
-    if not sensitivity > 0:
-        raise ValueError("sensitivity must be positive")
+    if not 0 < sensitivity < math.inf:
+        raise ValueError(f"sensitivity must be positive and finite, got {sensitivity!r}")
     noisy = scores + rng.laplace(0.0, 2.0 * sensitivity / epsilon, size=scores.size)
     return int(np.argmax(noisy))

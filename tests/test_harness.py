@@ -21,7 +21,11 @@ from dpclip.harness.commands import (
 )
 from dpclip.harness.spec import ExperimentSpec, SpecValidationError
 from dpclip.lipschitz import LipschitzProfile
-from dpclip.losses import logistic_problem, planted_logistic_dataset
+from dpclip.losses import (
+    heavy_tailed_logistic_dataset,
+    logistic_problem,
+    planted_logistic_dataset,
+)
 from dpclip.optimizer import reference_minimum
 from dpclip.privacy import PrivacyBudget, compute_phi
 
@@ -82,6 +86,19 @@ def test_spec_validation():
         (name,) = bad
         with pytest.raises(SpecValidationError, match=f"^{name} must be "):
             ExperimentSpec(command="sweep-clip", out="x.csv", **bad)
+    # no float may be infinite, in a scalar or in a tuple, named in the message
+    for bad in (dict(eta_grid=(0.1, math.inf)), dict(growth_c=math.inf),
+                dict(moment_k=math.inf), dict(norm_high=math.inf),
+                dict(rnmm_clamp=math.inf), dict(epsilon=math.inf),
+                dict(p_list=(2.0, math.inf)), dict(batch=-math.inf)):
+        (name,) = bad
+        with pytest.raises(SpecValidationError, match=f"^{name} must be finite, got "):
+            ExperimentSpec(command="sweep-clip", out="x.csv", **bad)
+    with pytest.raises(SpecValidationError, match="--no-noise runs without noise"):
+        ExperimentSpec(command="sweep-clip", out="x.csv", epsilon=math.inf)
+    # except where inf is the field's sentinel
+    spec = ExperimentSpec(command="sweep-clip", out="x.csv", tail_k=math.inf, eps_rnmm=math.inf)
+    assert (spec.tail_k, spec.eps_rnmm) == (math.inf, math.inf)
     # an int is a float, a list a tuple and a numpy integer an int
     spec = ExperimentSpec(command="sweep-clip", out="x.csv", batch=10, seeds=[np.int64(2)],
                           eps_rnmm=None)
@@ -231,6 +248,34 @@ def test_cli_tiny_epsilon_exits_1_naming_epsilon(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and "epsilon" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["sweep-clip", "--synthetic", "planted", "--n", "60", "--dim", "3",
+          "--iterations", "10", "--batch", "10", "--eta-grid", "0.1,inf"], "eta_grid"),
+        (["rnmm-pipeline", "--synthetic", "planted", "--n", "60", "--dim", "3",
+          "--iterations", "10", "--batch", "10", "--eps-rnmm", "0.5",
+          "--rnmm-clamp", "inf"], "rnmm_clamp"),
+        (["phi-scaling", "--n-list", "150", "--dim", "3", "--iterations", "10",
+          "--batch", "15", "--moment-k", "inf"], "moment_k"),
+        (["bias-oracle", "--count", "2", "--p-list", "2,inf"], "p_list"),
+        (["lower-bound-demo", "--dim", "2", "--n", "60", "--iterations", "10",
+          "--batch", "10", "--growth-c", "inf"], "growth_c"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v,
+)
+def test_cli_infinite_value_exits_1_before_any_work(monkeypatch, tmp_path, capsys, argv, name):
+    # each of these ran to exit 0 with a NaN or wrong row, or spent the whole
+    # run before failing on a symptom, while the spec took the infinite value
+    _forbid_work(monkeypatch, ("planted_logistic_dataset", "heavy_tailed_logistic_dataset",
+                               "sample_Qv_many", "clipping_bias_exact",
+                               "reference_minimum", "run_dp_sgd"))
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"validation error: {name} must be finite, got ")
     assert not out.exists()
 
 
@@ -393,6 +438,37 @@ def test_phi_scaling_rows_and_phi_column(tmp_path):
         d = spec.classes * spec.dim  # parameter count of the softmax model
         assert phi == compute_phi(n, d, budget)
         assert k == 2.0
+
+
+def test_phi_scaling_problems_follow_the_per_size_recipe(monkeypatch, tmp_path):
+    # each size draws its own heavy-tailed data from [master_seed, 12, n], then
+    # appends the bias column; the CSVs recorded so far depend on both
+    from dpclip.harness import commands
+
+    problems = []
+
+    def capture(problem, configs):
+        problems.append(problem)
+        return [c.w0 for c in configs]
+
+    monkeypatch.setattr(commands, "run_dp_sgd", capture)
+    spec = _tiny_spec(
+        "phi-scaling", tmp_path / "phi.csv", synthetic="heavy", master_seed=4,
+        n_list=(120, 480), dim=3, classes=2, iterations=5, batch=15.0, no_noise=True,
+    )
+    cmd_phi_scaling(spec)
+    assert len(problems) == len(spec.n_list)
+    rng = np.random.default_rng(5)
+    for n, got in zip(spec.n_list, problems):
+        data = heavy_tailed_logistic_dataset(
+            n, spec.dim, spec.classes, spec.tail_k, np.random.default_rng([4, 12, n])
+        )
+        want = logistic_problem(data.with_bias(), spec.classes)
+        assert (got.n, got.dim) == (want.n, want.dim)
+        w = rng.normal(size=want.dim)
+        for a, b in ((got.lipschitz, want.lipschitz), (got.losses_at(w), want.losses_at(w)),
+                     (got.grads_at(w), want.grads_at(w))):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_bias_oracle_cli_and_determinism(tmp_path):

@@ -373,7 +373,8 @@ def test_stacked_grads_are_each_iterates_rows_bitwise():
     idx = np.array([0, 3, 5, 7, 11, 3])
     scales = np.array([[0.0], [0.3], [3.0], [30.0]])
     cases = []
-    for m in (2, 3, 4):
+    # 9 and 130 classes take _class_sum's pairwise and split branches
+    for m in (2, 3, 4, 9, 130):
         features = rng.normal(size=(12, 5)) * rng.pareto(2.0, size=(12, 1))
         ds = Dataset(np.asfortranarray(features), rng.integers(0, m, 12))
         for data in (ds, ds.with_bias()):
@@ -639,6 +640,20 @@ def test_heavy_tailed_moment_level():
 def test_heavy_tailed_inf_sentinel():
     ds = heavy_tailed_logistic_dataset(500, 4, 2, math.inf, np.random.default_rng(1))
     assert np.allclose(np.linalg.norm(ds.features, axis=1), 1.0, atol=1e-12)
+
+
+def test_synthetic_generators_reject_bad_arguments():
+    rng = np.random.default_rng(4)
+    sizes = dict(n=10, d=3, m=2)
+    for name, bad in (("n", 0), ("d", 0), ("m", 1), ("m", 0)):
+        args = {**sizes, name: bad}
+        with pytest.raises(ValueError, match=rf"^{name} \(\w+\) must be >= "):
+            planted_logistic_dataset(args["n"], args["d"], args["m"], rng)
+        with pytest.raises(ValueError, match=rf"^{name} \(\w+\) must be >= "):
+            heavy_tailed_logistic_dataset(args["n"], args["d"], args["m"], 2.0, rng)
+    for low, high in ((0.0, 1.0), (2.0, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="need 0 < norm_low <= norm_high < inf"):
+            planted_logistic_dataset(10, 3, 2, rng, low, high)
 
 
 def test_planted_datasets_are_separable():

@@ -50,6 +50,8 @@ def test_config_validation():
     for field in ("eta", "sigma_sq"):
         with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
             _config(**{field: math.nan})
+    with pytest.raises(ValueError, match="eta must be nonnegative and finite, got inf"):
+        _config(eta=math.inf)
     # T and seed fix a run's stream, so they must be exact integers up front
     with pytest.raises(ValueError, match=r"T must be an integer >= 1, got 2\.5"):
         _config(T=2.5)
@@ -389,6 +391,10 @@ def test_schedule_domain_errors():
         schedule_unconstrained_convex(1.0, 0.5, 1.0, 10, 0.1, 0.5)
     with pytest.raises(ValueError, match="C > 0"):
         schedule_unconstrained_convex(1.0, 0.5, -1.0, 10, 0.1, 2.0)
+    # C / (T tau) overflows to inf or underflows to 0: rejected, as for the clip norm
+    for G, C, eta in ((1.0, math.inf, "inf"), (1e-10, 1e308, "inf"), (1e300, 5e-324, "0.0")):
+        with pytest.raises(ValueError, match=f"schedule step size is {eta} at clip norm"):
+            schedule_unconstrained_convex(G, 0.5, C, 10, 0.1, 2.0)
     for phi in (0.0, -0.1, math.nan):
         with pytest.raises(ValueError, match="phi must be positive"):
             schedule_unconstrained_convex(1.0, 0.5, 1.0, 10, phi, 2.0)
