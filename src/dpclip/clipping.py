@@ -94,10 +94,22 @@ def bias_bound_lemma(dist: DiscreteVectorDistribution, tau: float, p: float) -> 
 
 
 def bias_bound_corollary(dist: DiscreteVectorDistribution, tau: float, p: float) -> float:
-    """Markov relaxation E||v||^p / tau^{p-1}; looser but tau-explicit."""
+    """Markov relaxation E||v||^p / tau^{p-1}; looser but tau-explicit.
+    Finite or +inf for every p, never NaN."""
     if not p > 1:
         raise ValueError("p must be > 1")
     if not tau > 0:
         raise ValueError("tau must be positive")
-    norms = dist.norms()
-    return float(dist.probs @ norms**p) / tau ** (p - 1.0)
+    support = dist.probs > 0
+    probs, norms = dist.probs[support], dist.norms()[support]
+    max_norm = float(norms.max())
+    if max_norm == 0.0:
+        return 0.0
+    tau = np.float64(tau)  # a numpy scalar overflows to inf, where a float raises
+    with np.errstate(all="ignore"):
+        bound = float(probs @ norms**p) / tau ** (p - 1.0)
+        if not np.isfinite(bound):
+            # E||v||^p or tau^{p-1} left the float range: factor out the
+            # largest norm, as bias_bound_lemma does
+            bound = tau * (max_norm / tau) ** p * float(probs @ (norms / max_norm) ** p)
+    return float(bound)

@@ -125,9 +125,9 @@ def _sigma_sq_for(spec: ExperimentSpec, tau: float, problem: Problem) -> float:
 def _run_cells(
     problem: Problem, test: Dataset | None, f_star: float | None,
     spec: ExperimentSpec, cells: list[tuple[float, float, float]],
-) -> list[list[float]]:
-    """Each (tau, eta, sigma_sq) cell's metrics, one DP-SGD run from the origin
-    per spec seed.
+) -> np.ndarray:
+    """The (cell, seed) array of metrics: one DP-SGD run from the origin per
+    (tau, eta, sigma_sq) cell and spec seed.
 
     Every run of every cell goes into one ``run_dp_sgd`` call, so the cells
     share each seed's batches and noise.
@@ -146,25 +146,25 @@ def _run_cells(
         for seed in spec.seeds
     ]
     metrics = [_metric_value(problem, test, f_star, w) for w in run_dp_sgd(problem, configs)]
-    k = len(spec.seeds)
-    return [metrics[i : i + k] for i in range(0, len(metrics), k)]
+    return np.array(metrics).reshape(len(cells), len(spec.seeds))
 
 
 def _best_over_eta(
-    test: Dataset | None, spec: ExperimentSpec, tau: float, per_eta: list[list[float]]
-) -> tuple[float, float, float]:
-    """The best eta's (eta, mean, std) from each eta's per-seed metrics at one clip norm."""
-    stats = []
-    for eta, metrics in zip(spec.eta_grid, per_eta):
-        arr = np.array(metrics)
-        stats.append((eta, float(arr.mean()), float(arr.std())))
-    # max keeps the first of equal means; NaN means never compare, so drop them
-    scored = [s for s in stats if not math.isnan(s[1])]
-    if not scored:
-        raise SpecValidationError(f"every eta gives a NaN mean metric at clip norm {tau!r}")
-    # accuracy (with a test split) is maximised, suboptimality minimised
-    key = (lambda s: s[1]) if test is not None else (lambda s: -s[1])
-    return max(scored, key=key)
+    test: Dataset | None, spec: ExperimentSpec, taus: list[float], metrics: np.ndarray
+) -> list[tuple[float, float, float]]:
+    """Each clip norm's best (eta, mean, std) from the (tau, eta, seed) metrics:
+    the highest mean accuracy (with a test split) or the lowest mean
+    suboptimality; the first of equal means wins, and a NaN mean never does."""
+    means, stds = metrics.mean(axis=2), metrics.std(axis=2)
+    pick = np.argmax if test is not None else np.argmin
+    best = []
+    for tau, mean, std in zip(taus, means, stds):
+        scored = np.flatnonzero(~np.isnan(mean))
+        if not len(scored):
+            raise SpecValidationError(f"every eta gives a NaN mean metric at clip norm {tau!r}")
+        i = scored[pick(mean[scored])]
+        best.append((spec.eta_grid[i], float(mean[i]), float(std[i])))
+    return best
 
 
 def _sweep(
@@ -182,12 +182,8 @@ def _sweep(
         for tau, sigma_sq in zip(taus, sigma_sqs)
         for eta in spec.eta_grid
     ]
-    per_cell = _run_cells(problem, test, f_star, spec, cells)
-    k = len(spec.eta_grid)
-    return [
-        _best_over_eta(test, spec, tau, per_cell[i * k : (i + 1) * k])
-        for i, tau in enumerate(taus)
-    ]
+    metrics = _run_cells(problem, test, f_star, spec, cells)
+    return _best_over_eta(test, spec, taus, metrics.reshape(len(taus), len(spec.eta_grid), -1))
 
 
 def resolve_candidates(
@@ -326,14 +322,15 @@ def cmd_bias_oracle(spec: ExperimentSpec) -> bool:
     """Check exact bias <= moment/tail bound <= Markov bound on random instances.
 
     Emits one CSV row per (distribution, p, tau) with both margins; any
-    negative margin beyond -1e-9 fails the oracle (exit code 2).
+    negative margin beyond -1e-9, or any NaN margin, fails the oracle (exit
+    code 2).
     """
     if spec.count < 1:
         raise SpecValidationError("count must be >= 1")
     if any(not p > 1 for p in spec.p_list):
         raise SpecValidationError("all moment orders p must exceed 1")
     rng = np.random.default_rng([spec.master_seed, _TAG_BIAS])
-    tau_fractions = np.array([0.05, 0.15, 0.3, 0.5, 0.75, 1.0, 1.1])
+    tau_fractions = (0.05, 0.15, 0.3, 0.5, 0.75, 1.0, 1.1)
     rows = []
     worst = math.inf
     for dist_id in range(spec.count):
@@ -361,9 +358,12 @@ def cmd_bias_oracle(spec: ExperimentSpec) -> bool:
          "corollary_bound", "margin_lemma", "margin_corollary"],
         rows,
     )
-    passed = worst >= -1e-9
+    nan_at = [tuple(row[:3]) for row in rows if np.isnan(row[6:]).any()]
+    passed = worst >= -1e-9 and not nan_at
     status = "PASS" if passed else "FAIL"
     print(f"bias-oracle: {len(rows)} checks, worst margin {worst:.3e} [{status}]")
+    if nan_at:
+        raise OracleFailure(f"NaN margin at (dist_id, p, tau) = {nan_at[0]}")
     if not passed:
         raise OracleFailure(f"bias bound chain violated: worst margin {worst:.3e}")
     return True

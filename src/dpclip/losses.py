@@ -219,28 +219,13 @@ _ROW_BLOCK = 4096  # rows per block of the row-norm pass
 
 
 def _class_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum the m rows of a class-major (m, n) array in the order in which
-    numpy's pairwise summation adds the m entries of one row of the row-major
-    (n, m) array, so the result is bitwise ``rows.T.copy().sum(axis=1)``.
-
-    Fewer than 8 terms are added left to right; up to 128 go into eight
-    partial sums, one per residue mod 8, combined as a tree before the
-    leftover terms; more are split in two at a multiple of 8 below half.
-    """
-    m = len(rows)
-    if m < 8:
+    """Sum the m rows of a class-major (m, ...) array bitwise as numpy sums
+    the rows of the row-major (..., m) array: left to right below 8 classes,
+    as numpy does, and from 8 on by numpy itself, on a row-major copy that is
+    free when the rows are strided slices of a contiguous (..., m) array."""
+    if len(rows) < 8:
         return functools.reduce(np.add, rows)
-    if m > 128:
-        half = m // 2 - (m // 2) % 8
-        return _class_sum(rows[:half]) + _class_sum(rows[half:])
-    acc = [rows[j].copy() for j in range(8)]
-    for i in range(8, m - m % 8, 8):
-        for j in range(8):
-            acc[j] += rows[i + j]
-    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for i in range(m - m % 8, m):
-        out += rows[i]
-    return out
+    return np.ascontiguousarray(np.moveaxis(rows, 0, -1)).sum(axis=-1)
 
 
 def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Problem:

@@ -141,6 +141,21 @@ def test_corollary_bound_cases():
         [(np.zeros(2), 0.25), (np.zeros(2), 0.75)]
     )
     assert bias_bound_corollary(zeros, 0.5, 3.0) == 0.0
+    # E||v||^p and tau^(p-1) leave the float range at these orders; the bound
+    # is then inf or finite, never NaN, with no warning and no OverflowError
+    # (a Python float tau included)
+    assert bias_bound_corollary(TWO_ATOM, 1.0, 2000.0) == np.inf
+    assert bias_bound_corollary(TWO_ATOM, 2.0, 2000.0) == np.inf
+    for tau in (9.0, 11.0):
+        expected = 0.5 * tau * np.exp(2000.0 * np.log(10.0 / tau))  # 0.5 * 10^2000 / tau^1999
+        assert bias_bound_corollary(TWO_ATOM, tau, 2000.0) == pytest.approx(expected, rel=1e-10)
+    # an atom of probability 0 is outside the support, however large its norm
+    hidden = DiscreteVectorDistribution.from_atoms(
+        [(np.array([1.0]), 0.5), (np.array([1e150]), 0.0), (np.array([2.0]), 0.5)]
+    )
+    assert bias_bound_corollary(hidden, 1.5, 2.0) == pytest.approx(2.5 / 1.5, rel=1e-12)
+    assert bias_bound_corollary(hidden, 1.5, 5000.0) == np.inf
+    assert bias_bound_corollary(hidden, 3.0, 5000.0) == 0.0
 
 
 def test_bound_chain_on_random_distributions():

@@ -148,23 +148,40 @@ def test_sweep_constant_metric_has_zero_std(monkeypatch, tmp_path):
     assert mean_metric == pytest.approx(values[0], rel=1e-15)
 
 
-def test_best_eta_skips_nan_means(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("metric", ["suboptimality", "accuracy"])
+def test_best_eta_skips_nan_means(metric, monkeypatch, tmp_path, capsys):
     from dpclip.harness import commands
 
-    # calls run eta-major over two seeds: eta 0.1 gives NaN, 0.3 and 1.0 tie
-    values = iter([math.nan, math.nan, 1.0, 2.0, 2.0, 1.0])
+    if metric == "accuracy":
+        train, test = _split_csvs(tmp_path)
+        data = dict(synthetic=None, csv=str(train), test_csv=str(test), batch=25.0)
+        flags = ["--csv", str(train), "--test-csv", str(test), "--batch", "25"]
+    else:
+        data = {}
+        flags = ["--synthetic", "planted", "--n", "60", "--dim", "3", "--batch", "10"]
+    # calls run eta-major over two seeds, so the means are NaN, 0.5, 0.25, 0.5,
+    # 0.25 and NaN: a suboptimality takes the first lowest, an accuracy the
+    # first highest, and argmin or argmax alone would take the leading NaN
+    values = iter([math.nan, math.nan, 0.0, 1.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.5, math.nan, 0.0])
     monkeypatch.setattr(commands, "_metric_value", lambda *args: next(values))
     out = tmp_path / "sweep.csv"
-    spec = _tiny_spec("sweep-clip", out, clip_candidates=("p50",), eta_grid=(0.1, 0.3, 1.0))
-    _, _, eta_best, mean_best, _ = cmd_sweep_clip(spec).rows[0]
-    assert (eta_best, mean_best) == (0.3, 1.5)
+    spec = _tiny_spec(
+        "sweep-clip", out, clip_candidates=("p50",),
+        eta_grid=(0.1, 0.3, 1.0, 3.0, 10.0, 30.0), **data,
+    )
+    report = cmd_sweep_clip(spec)
+    assert report.metric_kind == metric
+    _, _, eta_best, mean_best, std_best = report.rows[0]
+    if metric == "suboptimality":
+        assert (eta_best, mean_best, std_best) == (1.0, 0.25, 0.25)
+    else:
+        assert (eta_best, mean_best, std_best) == (0.3, 0.5, 0.5)
 
     monkeypatch.setattr(commands, "_metric_value", lambda *args: math.nan)
     with pytest.raises(SpecValidationError, match="NaN mean metric at clip norm"):
         cmd_sweep_clip(spec)
     out.unlink()
-    args = ["sweep-clip", "--synthetic", "planted", "--n", "60", "--dim", "3",
-            "--iterations", "5", "--batch", "10", "--clip-candidates", "2.5",
+    args = ["sweep-clip", *flags, "--iterations", "5", "--clip-candidates", "2.5",
             "--out", str(out)]
     assert main(args) == 1
     assert "at clip norm 2.5" in capsys.readouterr().err
@@ -379,8 +396,8 @@ def test_sweep_shares_draws_and_writes_the_bytes_of_one_run_per_call(monkeypatch
     assert grouped.read_bytes() == alone.read_bytes()
 
 
-def test_sweep_accuracy_metric_with_csv_split(monkeypatch, tmp_path):
-    values = _collect_metrics(monkeypatch)
+def _split_csvs(tmp_path):
+    """Train (100 rows) and test (50 rows) CSVs of one planted 2-class problem."""
     rng = np.random.default_rng(41)
     ds = planted_logistic_dataset(150, 3, 2, rng, 0.5, 2.0)
     rows = [
@@ -390,6 +407,12 @@ def test_sweep_accuracy_metric_with_csv_split(monkeypatch, tmp_path):
     train_path, test_path = tmp_path / "train.csv", tmp_path / "test.csv"
     train_path.write_text("\n".join(rows[:100]) + "\n", encoding="utf-8")
     test_path.write_text("\n".join(rows[100:]) + "\n", encoding="utf-8")
+    return train_path, test_path
+
+
+def test_sweep_accuracy_metric_with_csv_split(monkeypatch, tmp_path):
+    values = _collect_metrics(monkeypatch)
+    train_path, test_path = _split_csvs(tmp_path)
     spec = _tiny_spec(
         "sweep-clip", tmp_path / "acc.csv", synthetic=None, csv=str(train_path),
         test_csv=str(test_path), clip_candidates=("p0",), batch=25.0,
@@ -482,6 +505,36 @@ def test_bias_oracle_cli_and_determinism(tmp_path):
     above = [r.split(",") for r in rows if float(r.split(",")[2]) > 0]
     fractions_above_max = [r for r in above if float(r[3]) == 0.0 and float(r[4]) == 0.0]
     assert fractions_above_max  # the 1.1 * max grid point produces such rows
+
+
+def test_bias_oracle_large_order_has_no_nan(tmp_path, capsys):
+    # E||v||^1000 and tau^999 overflow here; with RuntimeWarning an error in
+    # Tier-1, an overflow warning fails this test as well as a NaN does
+    out = tmp_path / "b.csv"
+    assert main(["bias-oracle", "--count", "5", "--p-list", "1000", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text(encoding="utf-8").split("\n")[1:-1]]
+    assert len(rows) == 5 * 7 and "nan" not in out.read_text(encoding="utf-8")
+    corollary = [float(r[5]) for r in rows]
+    assert math.inf in corollary and all(c == math.inf or c < 1e308 for c in corollary)
+    assert "[PASS]" in capsys.readouterr().out
+
+
+def test_bias_oracle_fails_on_a_nan_margin(monkeypatch, tmp_path, capsys):
+    from dpclip.harness import commands
+
+    calls = iter(range(100))
+
+    def nan_from_the_fourth(dist, tau, p):
+        return math.nan if next(calls) >= 3 else 1e9
+
+    monkeypatch.setattr(commands, "bias_bound_corollary", nan_from_the_fourth)
+    out = tmp_path / "b.csv"
+    assert main(["bias-oracle", "--count", "2", "--p-list", "2", "--out", str(out)]) == 2
+    first = out.read_text(encoding="utf-8").split("\n")[4].split(",")
+    assert first[5] == "nan"
+    captured = capsys.readouterr()
+    assert "[FAIL]" in captured.out
+    assert f"NaN margin at (dist_id, p, tau) = (0, 2.0, {first[2]})" in captured.err
 
 
 def test_lower_bound_demo_runs_and_degenerate(tmp_path):

@@ -331,7 +331,7 @@ def test_logistic_row_norms_are_bitwise_linalg_norm_across_blocks(order):
 @pytest.mark.parametrize("bias", [False, True], ids=["raw", "bias"])
 def test_logistic_value_and_grad_is_bitwise_two_call(n, bias):
     # the class-major pass reduces over classes, so its order depends on m:
-    # 2 and 3 are the c12 and c08 class counts, 9 takes numpy's pairwise branch
+    # 2 and 3 are the c12 and c08 class counts, 9 takes _class_sum's numpy branch
     rng = np.random.default_rng(n)
     features = rng.normal(size=(n, 5)) * rng.pareto(2.0, size=(n, 1))
     for m in (2, 3, 4, 9):
@@ -373,7 +373,8 @@ def test_stacked_grads_are_each_iterates_rows_bitwise():
     idx = np.array([0, 3, 5, 7, 11, 3])
     scales = np.array([[0.0], [0.3], [3.0], [30.0]])
     cases = []
-    # 9 and 130 classes take _class_sum's pairwise and split branches
+    # 9 and 130 classes take _class_sum's numpy branch, 130 past numpy's
+    # 128-term pairwise block
     for m in (2, 3, 4, 9, 130):
         features = rng.normal(size=(12, 5)) * rng.pareto(2.0, size=(12, 1))
         ds = Dataset(np.asfortranarray(features), rng.integers(0, m, 12))

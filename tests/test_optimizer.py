@@ -184,14 +184,16 @@ def _one_run(prob, config):
     return w
 
 
-@pytest.mark.parametrize("family", ["logistic", "geometric-median"])
+@pytest.mark.parametrize("family", ["logistic", "logistic-9-class", "geometric-median"])
 def test_run_of_a_config_list_is_bitwise_each_run_alone(family):
     # configs that share a seed share their draws; each result must still be
-    # exactly the run of its config alone, returned in input order
+    # exactly the run of its config alone, returned in input order. Nine
+    # classes take the class sum's numpy branch in the stacked step
     rng = np.random.default_rng(41)
-    if family == "logistic":
-        ds = planted_logistic_dataset(50, 3, 3, rng, 0.5, 4.0).with_bias()
-        prob = logistic_problem(ds, 3)
+    if family.startswith("logistic"):
+        m = 9 if family == "logistic-9-class" else 3
+        ds = planted_logistic_dataset(50, 3, m, rng, 0.5, 4.0).with_bias()
+        prob = logistic_problem(ds, m)
     else:
         prob = geometric_median_problem(rng.normal(0, 3, size=(30, 2)))
     w0s = [np.zeros(prob.dim), rng.normal(size=prob.dim)]
