@@ -7,38 +7,62 @@ here bracket the exact bias from above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
-def clip(z: np.ndarray, c: float) -> np.ndarray:
-    """Rescale z to norm at most c, preserving direction; one row of :func:`clip_rows`."""
-    z = np.asarray(z, dtype=float)
-    return clip_rows(z.reshape(1, -1), c).reshape(z.shape)
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis: ``sqrt(sum(x * x))``, which is
+    ``np.linalg.norm(x, axis=-1)`` bit for bit.
+
+    A finite row whose squares overflow (norm above about 1.3e154) is
+    rescaled by its largest entry instead, so its norm is inf only beyond
+    the float range; every other norm keeps the plain expression's bits.
+    """
+    # contiguous, because a strided last axis can change the summation order
+    x = np.ascontiguousarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        norms = np.asarray(np.sqrt(np.sum(x * x, axis=-1)))
+        if not np.isfinite(norms).all():
+            redo = np.isinf(norms) & np.isfinite(x).all(axis=-1)
+            top = np.abs(x[redo]).max(axis=-1, keepdims=True)
+            norms[redo] = top[:, 0] * np.sqrt(np.sum((x[redo] / top) ** 2, axis=-1))
+    return norms
 
 
 def clip_rows(rows: np.ndarray, c: float | np.ndarray) -> np.ndarray:
-    """Rescale every row of a 2-D array to norm at most its threshold; zero
-    rows stay zero.
+    """Rescale each row, a vector along the last axis, to norm at most its
+    threshold; zero rows stay zero.
 
-    ``c`` is one threshold for every row or a vector of one per row. Rows
-    with norm at most their threshold are scaled by exactly 1.0, so the no-op
-    case is bit-identical to the input row.
+    ``c`` broadcasts against ``rows.shape[:-1]``: one threshold for every
+    row, one per row, or a (K, 1) column giving each block of a (K, B, dim)
+    stack its own. The scale is ``min(1, c / norm)``, so a row with norm at
+    most its threshold, a NaN norm or an infinite threshold is scaled by
+    exactly 1.0 and comes back bit-identical.
     """
     c = np.asarray(c, dtype=float)
     bad = ~(c > 0)
     if bad.any():
         raise ValueError(f"clip threshold must be positive, got {c[bad][0]}")
     rows = np.ascontiguousarray(rows, dtype=float)
-    if c.ndim and c.shape != rows.shape[:1]:
-        raise ValueError(f"need one clip threshold per row: {c.shape} for {rows.shape[0]} rows")
-    norms = np.sqrt(np.sum(rows * rows, axis=1))
-    thresholds = np.broadcast_to(c, norms.shape)
-    scale = np.ones_like(norms)
-    over = norms > thresholds
-    scale[over] = thresholds[over] / norms[over]
-    return rows * scale[:, None]
+    try:
+        np.broadcast_to(c, rows.shape[:-1])
+    except ValueError:
+        shape = rows.shape[:-1]
+        raise ValueError(f"need one clip threshold per row: {c.shape} for {shape}") from None
+    # a zero norm gives c / 0 = inf and an infinite one at tau = inf gives NaN;
+    # fmin takes 1.0 over both
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.fmin(1.0, c / row_norms(rows))
+    return rows * scale[..., None]
+
+
+def clip(z: np.ndarray, c: float) -> np.ndarray:
+    """Rescale the vector z to norm at most c, preserving direction: the
+    :func:`clip_rows` kernel on one vector."""
+    return clip_rows(z, c)
 
 
 @dataclass(frozen=True)
@@ -70,13 +94,16 @@ class DiscreteVectorDistribution:
         return self.probs @ self.vectors
 
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.vectors, axis=1)
+        return row_norms(self.vectors)
 
 
 def clipping_bias_exact(dist: DiscreteVectorDistribution, tau: float) -> float:
     """||E[v] - E[clip(v, tau)]|| by full enumeration over the support."""
-    clipped = clip_rows(dist.vectors, tau)
-    return float(np.linalg.norm(dist.mean() - dist.probs @ clipped))
+    gap = dist.mean() - dist.probs @ clip_rows(dist.vectors, tau)
+    with np.errstate(over="ignore"):
+        bias = float(np.linalg.norm(gap))
+    # np.linalg.norm squares too: past about 1.3e154 take row_norms' rescaling
+    return bias if math.isfinite(bias) else float(row_norms(gap))
 
 
 def bias_bound_lemma(dist: DiscreteVectorDistribution, tau: float, p: float) -> float:

@@ -327,6 +327,8 @@ def cmd_bias_oracle(spec: ExperimentSpec) -> bool:
     """
     if spec.count < 1:
         raise SpecValidationError("count must be >= 1")
+    if not spec.p_list:
+        raise SpecValidationError("bias-oracle requires a nonempty p_list")
     if any(not p > 1 for p in spec.p_list):
         raise SpecValidationError("all moment orders p must exceed 1")
     rng = np.random.default_rng([spec.master_seed, _TAG_BIAS])
@@ -378,8 +380,8 @@ def cmd_lower_bound_demo(spec: ExperimentSpec) -> list[list]:
     moment bound, linear growth) are checked by the test suite, not here.
     """
     d = spec.dim
-    if d % 2 != 0:
-        raise SpecValidationError("lower-bound-demo requires an even dimension")
+    if d < 2 or d % 2 != 0:
+        raise SpecValidationError(f"lower-bound-demo requires an even dim >= 2, got {d}")
     if spec.batch > spec.n:
         raise SpecValidationError(f"batch {spec.batch} exceeds n={spec.n}")
     k = spec.moment_k

@@ -87,8 +87,8 @@ def dp_sgd_step(
     and on whether ``sigma_sq > 0``; each adds its own ``sqrt(sigma_sq) * z``,
     which is bitwise the draw ``rng.normal(0, sqrt(sigma_sq), dim)`` a single
     config makes. The iterates are stacked, so one ``grads_at`` call gives
-    every config's gradient rows and one ``clip_rows`` call, with each
-    config's threshold on its own rows, clips them all.
+    every config's gradient rows, and one ``clip_rows`` call clips their
+    (K, B, dim) block against the (K, 1) column of the configs' thresholds.
 
     An empty Poisson batch has ``(0, dim)`` gradients whose clipped sum is the
     zero vector, so it contributes noise only. With sigma_sq = 0 no noise is
@@ -103,9 +103,8 @@ def dp_sgd_step(
     batch = poisson_sample(problem.n, b, rng)
     z = gaussian_noise(NoiseSpec(1.0, problem.dim), rng) if noisy else None
     W = np.stack(ws)
-    K, B = W.shape[0], batch.size
-    rows = clip_rows(problem.grads_at(W, batch), np.repeat([c.tau for c in configs], B))
-    g = rows.reshape(K, B, problem.dim).sum(axis=1) / b
+    grads = problem.grads_at(W, batch).reshape(len(configs), batch.size, problem.dim)
+    g = clip_rows(grads, np.array([[c.tau] for c in configs])).sum(axis=1) / b
     if z is not None:
         # 0.0 + scale * z is how numpy's normal(loc=0.0, scale) forms a draw
         scales = np.array([math.sqrt(c.sigma_sq) for c in configs])

@@ -1,5 +1,7 @@
 """Tests for the clip operator and the clipping-bias oracle chain."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from dpclip.clipping import (
     clip,
     clip_rows,
     clipping_bias_exact,
+    row_norms,
 )
 
 TWO_ATOM = DiscreteVectorDistribution.from_atoms(
@@ -73,6 +76,103 @@ def test_clip_rows_matches_clip_bitwise():
         assert np.array_equal(out[i], clip(rows[i], taus[i]))
         if norms[i] <= taus[i]:
             assert np.array_equal(out[i], rows[i])
+
+
+def _mask_clip_rows(rows, thresholds):
+    """The reference: the kernel's mask-and-assign 2-D form, which scales a
+    row by 1.0, or by its threshold over its norm where the norm exceeds it."""
+    norms = np.sqrt(np.sum(rows * rows, axis=1))
+    scale = np.ones_like(norms)
+    over = norms > thresholds
+    scale[over] = thresholds[over] / norms[over]
+    return rows * scale[:, None]
+
+
+def _random_stack(rng):
+    """A (K, B, dim) stack with zero, NaN and inf rows, and a (K, 1) column of
+    thresholds: uniform, inf, or exactly the norm of the block's first row."""
+    K, B, dim = int(rng.integers(1, 5)), int(rng.integers(0, 7)), int(rng.integers(1, 6))
+    stack = rng.normal(0, 2, size=(K, B, dim)) * np.exp(rng.uniform(-3, 3, size=(K, B, 1)))
+    for value in (np.nan, np.inf, -np.inf):
+        stack[rng.random((K, B)) < 0.1, int(rng.integers(dim))] = value
+    stack[rng.random((K, B)) < 0.1] = 0.0
+    taus = rng.uniform(0.1, 5.0, size=(K, 1))
+    for k in range(K):
+        pick = rng.random()
+        if pick < 0.2:
+            taus[k] = np.inf
+        elif pick < 0.6 and B:
+            at = np.sqrt(np.sum(stack[k, 0] * stack[k, 0]))
+            if np.isfinite(at) and at > 0:
+                taus[k] = at  # the row sits exactly at its threshold
+    return stack, taus
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")  # inf * 0
+def test_clip_kernel_matches_mask_reference_bitwise():
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        stack, taus = _random_stack(rng)
+        K, B, dim = stack.shape
+        flat = stack.reshape(K * B, dim)
+        per_row = np.repeat(taus[:, 0], B)
+        # (K, 1) column against the stack: the DP-SGD step's call
+        want = _mask_clip_rows(flat, per_row)
+        assert _same_bits(clip_rows(stack, taus), want.reshape(K, B, dim))
+        # (N,) thresholds against the flat rows, and one scalar for all
+        assert _same_bits(clip_rows(flat, per_row), want)
+        tau = float(taus[0, 0])
+        want_one = _mask_clip_rows(flat, np.full(K * B, tau))
+        assert _same_bits(clip_rows(stack, tau), want_one.reshape(K, B, dim))
+        # a single vector through clip
+        for i in range(K * B):
+            assert _same_bits(clip(flat[i], tau), want_one[i])
+
+
+def test_row_norms_are_linalg_norm_bitwise_and_do_not_overflow():
+    rng = np.random.default_rng(14)
+    rows = rng.normal(0, 3, size=(30, 4))
+    assert _same_bits(row_norms(rows), np.linalg.norm(rows, axis=1))
+    assert _same_bits(row_norms(np.asfortranarray(rows)), np.linalg.norm(rows, axis=1))
+    # an overflowing row takes the rescaled norm; every other keeps its bits
+    rows[5] = [1e200, -1e200, 0.0, 1e199]
+    norms = row_norms(rows)
+    assert norms[5] == pytest.approx(math.sqrt(2.01) * 1e200, rel=1e-15)
+    others = np.arange(30) != 5
+    assert _same_bits(norms[others], np.linalg.norm(rows[others], axis=1))
+    assert row_norms(np.array([1e200, 1e200])) == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+    # past the float range, or with a non-finite entry, the norm is not finite
+    odd = np.array([[1.7e308, 1.7e308], [np.inf, 1.0], [np.nan, 1e300]])
+    assert _same_bits(row_norms(odd), np.array([np.inf, np.inf, np.nan]))
+
+
+def test_clip_keeps_the_direction_of_an_overflowing_row():
+    unit = math.sqrt(0.5)
+    out = clip_rows(np.array([[1e200, 1e200], [3.0, 4.0]]), 1.0)
+    assert np.allclose(out, [[unit, unit], [0.6, 0.8]], rtol=1e-15, atol=0)
+    assert np.allclose(clip(np.array([1e200, -1e200]), 2.0), [2 * unit, -2 * unit],
+                       rtol=1e-15, atol=0)
+
+
+def test_bias_chain_with_an_overflowing_atom_norm():
+    norm = math.sqrt(2) * 1e200
+    dist = DiscreteVectorDistribution.from_atoms(
+        [(np.zeros(2), 0.5), (np.array([1e200, 1e200]), 0.5)]
+    )
+    assert dist.norms()[1] == pytest.approx(norm, rel=1e-15)
+    for tau in (1.0, 1e199, 1e200):
+        exact = clipping_bias_exact(dist, tau)
+        assert exact == pytest.approx(0.5 * (norm - tau), rel=1e-12)
+        for p in (1.5, 2.0, 3.0):
+            lemma = bias_bound_lemma(dist, tau, p)
+            corollary = bias_bound_corollary(dist, tau, p)
+            # the chain holds to rounding at this scale; the Markov bound may be inf
+            assert math.isfinite(lemma) and lemma >= exact * (1 - 1e-12)
+            assert corollary >= lemma * (1 - 1e-12)
 
 
 def test_distribution_validation():

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -293,6 +294,31 @@ def test_cli_infinite_value_exits_1_before_any_work(monkeypatch, tmp_path, capsy
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"validation error: {name} must be finite, got ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["bias-oracle", "--count", "2", "--p-list", ""], "p_list"),
+        (["lower-bound-demo", "--dim", "-2", "--n", "60", "--iterations", "10",
+          "--batch", "10"], "dim"),
+        (["lower-bound-demo", "--dim", "0", "--n", "60", "--iterations", "10",
+          "--batch", "10"], "dim"),
+    ],
+    ids=["bias-oracle-empty-p-list", "lower-bound-negative-dim", "lower-bound-zero-dim"],
+)
+def test_cli_empty_or_out_of_range_field_exits_1_before_any_work(
+    monkeypatch, tmp_path, capsys, argv, name
+):
+    # an empty --p-list ran 0 checks and passed; --dim -2 failed inside numpy
+    # and --dim 0 ran on an empty instance
+    _forbid_work(monkeypatch, ("sample_Qv_many", "clipping_bias_exact",
+                               "reference_minimum", "run_dp_sgd"))
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and re.search(rf"\b{name}\b", err), err
     assert not out.exists()
 
 
