@@ -322,8 +322,8 @@ def cmd_bias_oracle(spec: ExperimentSpec) -> bool:
     """Check exact bias <= moment/tail bound <= Markov bound on random instances.
 
     Emits one CSV row per (distribution, p, tau) with both margins; any
-    negative margin beyond -1e-9, or any NaN margin, fails the oracle (exit
-    code 2).
+    margin below -1e-9 times max(1, largest atom norm, tau), or any NaN
+    margin, fails the oracle (exit code 2).
     """
     if spec.count < 1:
         raise SpecValidationError("count must be >= 1")
@@ -352,7 +352,11 @@ def cmd_bias_oracle(spec: ExperimentSpec) -> bool:
                 corollary = bias_bound_corollary(dist, tau, p)
                 m_lemma = lemma - exact
                 m_cor = corollary - lemma
-                worst = min(worst, m_lemma, m_cor)
+                # relative to the terms the bounds are built from: the lemma
+                # bound subtracts two of size tau, so it can land an ulp of
+                # tau below an exact bias of 0
+                size = max(1.0, max_norm, tau)
+                worst = min(worst, m_lemma / size, m_cor / size)
                 rows.append([dist_id, p, tau, exact, lemma, corollary, m_lemma, m_cor])
     write_csv(
         spec.out,
@@ -363,11 +367,11 @@ def cmd_bias_oracle(spec: ExperimentSpec) -> bool:
     nan_at = [tuple(row[:3]) for row in rows if np.isnan(row[6:]).any()]
     passed = worst >= -1e-9 and not nan_at
     status = "PASS" if passed else "FAIL"
-    print(f"bias-oracle: {len(rows)} checks, worst margin {worst:.3e} [{status}]")
+    print(f"bias-oracle: {len(rows)} checks, worst relative margin {worst:.3e} [{status}]")
     if nan_at:
         raise OracleFailure(f"NaN margin at (dist_id, p, tau) = {nan_at[0]}")
     if not passed:
-        raise OracleFailure(f"bias bound chain violated: worst margin {worst:.3e}")
+        raise OracleFailure(f"bias bound chain violated: worst relative margin {worst:.3e}")
     return True
 
 

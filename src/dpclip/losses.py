@@ -8,7 +8,6 @@ Subgradients at kinks return the minimal-norm element.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -61,33 +60,14 @@ class Dataset:
 def load_dataset_csv(path, append_bias: bool = False) -> Dataset:
     """Load rows of d floats plus a trailing integer label; header optional.
 
-    Only the first non-blank records are read with :mod:`csv`, to tell a
-    header from data; numpy's C reader then parses every data row. With
+    The file is parsed by :func:`dpclip._dataset_csv.read`, which keeps each
+    parse in a cache keyed by the sha256 of the file's bytes. With
     ``append_bias`` the label column is overwritten with the constant-1
     coordinate, so the loaded array is the feature matrix as it stands.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        records = (record for record in reader if record)
-        first = next(records, None)
-        if first is None:
-            raise ValueError(f"empty dataset file: {path}")
-        try:
-            [float(tok) for tok in first]
-        except ValueError:
-            first = next(records, None)  # header row
-            if first is None:
-                raise ValueError(f"dataset file has a header but no rows: {path}")
-        skiprows = reader.line_num - 1  # lines before the first data row, blank ones too
-    if len(first) < 2:
-        raise ValueError("rows must contain at least one feature and a label")
-    data = np.loadtxt(
-        path, delimiter=",", skiprows=skiprows, ndmin=2, comments=None,
-        quotechar='"', encoding="utf-8",
-    )
-    labels = data[:, -1].astype(int)
-    if np.any(data[:, -1] != labels):
-        raise ValueError("trailing column must hold integer labels")
+    from ._dataset_csv import read  # only runs that load a CSV compile it
+
+    data, labels = read(path)
     if append_bias:
         data[:, -1] = 1.0
     else:

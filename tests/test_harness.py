@@ -563,6 +563,52 @@ def test_bias_oracle_fails_on_a_nan_margin(monkeypatch, tmp_path, capsys):
     assert f"NaN margin at (dist_id, p, tau) = (0, 2.0, {first[2]})" in captured.err
 
 
+def _one_large_atom(monkeypatch):
+    """Make every bias-oracle draw the atom [1e200, 1e200] beside a zero atom."""
+    from dpclip.clipping import DiscreteVectorDistribution
+    from dpclip.harness import commands
+
+    dist = DiscreteVectorDistribution(
+        vectors=np.array([[1e200, 1e200], [0.0, 0.0]]), probs=np.array([0.5, 0.5])
+    )
+    monkeypatch.setattr(commands, "DiscreteVectorDistribution", lambda vectors, probs: dist)
+    return dist
+
+
+def test_bias_oracle_tolerance_scales_with_the_terms(monkeypatch, tmp_path, capsys):
+    from dpclip.clipping import bias_bound_lemma, clipping_bias_exact
+
+    dist = _one_large_atom(monkeypatch)
+    exact, lemma = clipping_bias_exact(dist, 1.0), bias_bound_lemma(dist, 1.0, 1.5)
+    assert lemma - exact < -1e180  # one ulp below: rounding, not a violation
+    out = tmp_path / "b.csv"
+    assert main(["bias-oracle", "--count", "1", "--p-list", "1.5,2", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text(encoding="utf-8").split("\n")[1:-1]]
+    # such margins are written, among them an ulp of tau below an exact 0
+    assert min(float(r[6]) for r in rows) < -1e180
+    assert any(float(r[3]) == 0.0 and float(r[6]) < 0.0 for r in rows)
+    assert "[PASS]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["drawn-atoms", "large-atom"])
+def test_bias_oracle_fails_on_a_real_violation(monkeypatch, tmp_path, capsys, large):
+    from dpclip.clipping import bias_bound_lemma
+    from dpclip.harness import commands
+
+    if large:
+        _one_large_atom(monkeypatch)
+
+    def lemma_too_low(dist, tau, p):
+        return bias_bound_lemma(dist, tau, p) - 1e-6 * tau
+
+    monkeypatch.setattr(commands, "bias_bound_lemma", lemma_too_low)
+    out = tmp_path / "b.csv"
+    assert main(["bias-oracle", "--count", "2", "--p-list", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "[FAIL]" in captured.out
+    assert "bias bound chain violated: worst relative margin" in captured.err
+
+
 def test_lower_bound_demo_runs_and_degenerate(tmp_path):
     out = tmp_path / "lb.csv"
     spec = _tiny_spec(

@@ -1,12 +1,20 @@
 """Tests for the objective families and synthetic generators."""
 
 import csv
+import errno
+import hashlib
 import math
+import os
+import shutil
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpclip import losses
+from dpclip import _dataset_csv, losses
 from dpclip.losses import (
     Dataset,
     Problem,
@@ -100,9 +108,11 @@ def test_csv_loader_errors(tmp_path):
         ("x1,x2,label\n1.0,2.0,0\n3.0,abc,1\n", r"'abc' to float64 at row \d+, column 2"),
         ("1.0,2.0,0\n3.0,4.0,1 # note\n", r"'1 # note' to float64 at row \d+, column 3"),
         ("1.0,2.0,0\n1.0,2.0,0.5\n", "trailing column must hold integer labels"),
+        ("1.0,2.0,0\n1.0,2.0,nan\n", "trailing column must hold integer labels"),
+        ("1.0,2.0,0\n1.0,2.0,1e300\n", "trailing column must hold integer labels"),
     ],
     ids=["empty", "header-only", "one-field", "ragged", "non-numeric", "hash-not-a-comment",
-         "non-integer-label"],
+         "non-integer-label", "nan-label", "huge-label"],
 )
 def test_csv_loader_error_messages(tmp_path, text, message):
     path = tmp_path / "data.csv"
@@ -112,9 +122,21 @@ def test_csv_loader_error_messages(tmp_path, text, message):
             load_dataset_csv(path, append_bias=append_bias)
 
 
+def test_csv_loader_keeps_the_first_row_after_a_bom(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeff1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,2\n".encode("utf-8"))
+    for append_bias in (False, True):
+        ds = load_dataset_csv(path, append_bias=append_bias)
+        assert ds.n == 3 and np.array_equal(ds.labels, [0, 1, 2])
+        assert np.array_equal(ds.features[:, :2], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    header = tmp_path / "bom-header.csv"
+    header.write_bytes("\ufeffx1,x2,label\n1.0,2.0,0\n".encode("utf-8"))
+    assert load_dataset_csv(header).n == 1
+
+
 def _python_parse(path, append_bias):
     """Reference parse: csv records, float() per token, blank records skipped."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         records = [record for record in csv.reader(fh) if record]
     try:
         [float(tok) for tok in records[0]]
@@ -175,6 +197,162 @@ def test_csv_loader_bias_path_matches_with_bias(tmp_path):
     assert np.array_equal(direct.features, two_step.features)
     assert np.array_equal(direct.labels, two_step.labels)
     assert direct.features.flags.c_contiguous
+
+
+def _cache_entries(home):
+    """Names of every file in the dpclip cache under ``home``."""
+    return sorted(p.name for p in (home / "dpclip").glob("*"))
+
+
+def _counting_loadtxt(monkeypatch):
+    calls = []
+    parse = np.loadtxt
+
+    def loadtxt(*args, **kwargs):
+        calls.append(args[0])
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(_csv_texts()))
+def test_csv_cache_hit_is_bitwise_the_parse(tmp_path, monkeypatch, private_cache_home, name):
+    path = tmp_path / "data.csv"
+    path.write_bytes(_csv_texts()[name].encode("utf-8"))
+    key = hashlib.sha256(path.read_bytes()).hexdigest()
+    misses = {}
+    for append_bias in (False, True):
+        shutil.rmtree(private_cache_home, ignore_errors=True)
+        misses[append_bias] = load_dataset_csv(path, append_bias=append_bias)
+        assert _cache_entries(private_cache_home) == [f"{_dataset_csv.TAG}-{key}.npy"]
+    # the entry left is the biased load's: it must hold the parse, not the
+    # array after its label column was overwritten
+    calls = _counting_loadtxt(monkeypatch)
+    for append_bias, miss in misses.items():
+        hit = load_dataset_csv(path, append_bias=append_bias)
+        assert hit.bias_appended == append_bias and hit.features.flags.c_contiguous
+        assert hit.features.shape == miss.features.shape
+        assert hit.features.tobytes() == miss.features.tobytes()
+        assert hit.labels.dtype == miss.labels.dtype
+        assert hit.labels.tobytes() == miss.labels.tobytes()
+    assert calls == []
+
+
+def test_csv_cache_defaults_to_home_cache(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_text("1.0,2.0,0\n", encoding="utf-8")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    for value in (None, "", "relative/cache"):
+        if value is None:
+            monkeypatch.delenv("XDG_CACHE_HOME")
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", value)
+        load_dataset_csv(path)
+        assert len(_cache_entries(tmp_path / "home" / ".cache")) == 1
+    assert not (tmp_path / "relative").exists()
+
+
+def test_csv_cache_rewrite_with_same_size_and_mtime_is_parsed_again(
+    tmp_path, private_cache_home
+):
+    path = tmp_path / "data.csv"
+    path.write_text("1.0,2.0,0\n3.0,4.0,1\n", encoding="utf-8")
+    assert load_dataset_csv(path).features[1, 1] == 4.0
+    before = path.stat()
+    path.write_text("1.0,2.0,0\n3.0,5.0,1\n", encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert load_dataset_csv(path).features[1, 1] == 5.0
+    assert len(_cache_entries(private_cache_home)) == 2
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda entry: entry.write_bytes(entry.read_bytes()[:-8]),
+        lambda entry: entry.write_bytes(entry.read_bytes()[:20]),
+        lambda entry: np.save(entry, np.zeros((2, 4))),
+        lambda entry: np.save(entry, np.zeros((2, 3), dtype=np.float32)),
+        lambda entry: np.save(entry, np.zeros(6)),
+    ],
+    ids=["truncated-data", "truncated-header", "other-columns", "float32", "one-dimensional"],
+)
+def test_csv_cache_bad_entry_is_parsed_again_and_rewritten(
+    tmp_path, monkeypatch, private_cache_home, spoil
+):
+    path = tmp_path / "data.csv"
+    path.write_text("x1,x2,label\n1.5,-2.0,1\n0.0,3.25,0\n", encoding="utf-8")
+    first = load_dataset_csv(path)
+    (name,) = _cache_entries(private_cache_home)
+    entry = private_cache_home / "dpclip" / name
+    good = entry.read_bytes()
+    spoil(entry)
+    calls = _counting_loadtxt(monkeypatch)
+    again = load_dataset_csv(path)
+    assert len(calls) == 1
+    assert again.features.tobytes() == first.features.tobytes()
+    assert np.array_equal(again.labels, first.labels)
+    assert _cache_entries(private_cache_home) == [name] and entry.read_bytes() == good
+
+
+def _write_half_then_fail(fh, array, **kwargs):
+    fh.write(b"\x93NUMPY")
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("case", ["not-a-directory", "disk-full"])
+def test_csv_cache_unwritable_just_parses(tmp_path, monkeypatch, private_cache_home, case):
+    path = tmp_path / "data.csv"
+    path.write_text("1.0,2.0,0\n3.0,4.0,1\n", encoding="utf-8")
+    if case == "not-a-directory":
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    else:
+        monkeypatch.setattr(np.lib.format, "write_array", _write_half_then_fail)
+    calls = _counting_loadtxt(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loads = [load_dataset_csv(path) for _ in range(2)]
+    assert len(calls) == 2
+    for ds in loads:
+        assert np.array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+    assert _cache_entries(private_cache_home) == []  # no entry, no temporary file
+
+
+def test_csv_loader_module_loads_only_with_a_csv():
+    # without bytecode files every CLI run compiles what it imports: a run
+    # that reads no CSV compiles neither the loader nor its cache, and does
+    # not load hashlib for it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    code = "import sys, dpclip.harness.cli; print('dpclip._dataset_csv' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout.split() == ["False"], proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1.0,2.0,0\n1.0,1\n", "1.0,2.0,0\n3.0,abc,1\n", "1.0,2.0,0\n3.0,4.0,1 # note\n"],
+    ids=["ragged", "non-numeric", "hash-not-a-comment"],
+)
+def test_csv_cache_parse_error_is_raised_every_time_and_never_cached(
+    tmp_path, private_cache_home, text
+):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    messages = set()
+    for append_bias in (False, True, False):
+        with pytest.raises(ValueError) as info:
+            load_dataset_csv(path, append_bias=append_bias)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    assert _cache_entries(private_cache_home) == []
 
 
 # ---------------------------------------------------------------------------
