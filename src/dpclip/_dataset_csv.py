@@ -1,22 +1,20 @@
 """Dataset CSV parsing for :func:`dpclip.losses.load_dataset_csv`, with a
 cache of every parse keyed by the sha256 of the file's bytes.
 
-Each cache entry is ``np.loadtxt``'s exact output for one file, kept as
-``$XDG_CACHE_HOME/dpclip/<TAG>-<sha256>.npy`` (``~/.cache/dpclip`` when that
-variable is unset). Only ``load_dataset_csv`` imports this module: without
-bytecode files every run compiles what it imports, so a run that reads no
-CSV does not compile the loader or load hashlib.
+Each cache entry is ``np.loadtxt``'s exact output for one file, kept by
+:mod:`dpclip._cache` as ``$XDG_CACHE_HOME/dpclip/<TAG>-<sha256>.npy``
+(``~/.cache/dpclip`` when that variable is unset). Only ``load_dataset_csv``
+imports this module: without bytecode files every run compiles what it
+imports, so a run that reads no CSV does not compile the loader.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import functools
-import hashlib
-import os
 
 import numpy as np
+
+from . import _cache
 
 # Names the parse that an entry holds. Bump it whenever read's parse (reader
 # options, header detection, encoding) changes what np.loadtxt returns for
@@ -48,9 +46,12 @@ def read(path) -> tuple[np.ndarray, np.ndarray]:
         skiprows = reader.line_num - 1  # lines before the first data row, blank ones too
     if len(first) < 2:
         raise ValueError("rows must contain at least one feature and a label")
-    data = _cached_loadtxt(
-        path, len(first), delimiter=",", skiprows=skiprows, ndmin=2, comments=None,
-        quotechar='"', encoding="utf-8-sig",
+    columns = len(first)
+    data = _cache.cached(
+        TAG, _cache.file_digest(path),
+        lambda: np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2, comments=None,
+                           quotechar='"', encoding="utf-8-sig"),
+        lambda data: data.ndim == 2 and data.dtype == np.float64 and data.shape[1] == columns,
     )
     # NaN, inf and values beyond int64 are rejected before the cast, which
     # would warn on them
@@ -58,44 +59,3 @@ def read(path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("trailing column must hold integer labels")
     return data, data[:, -1].astype(np.int64)
 
-
-def entry_path(path) -> str:
-    """``$XDG_CACHE_HOME/dpclip/<TAG>-<sha256 of the file>.npy``."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(functools.partial(fh.read, 1 << 20), b""):
-            digest.update(block)
-    root = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(root):  # unset, empty or relative: the XDG default
-        root = os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(root, "dpclip", f"{TAG}-{digest.hexdigest()}.npy")
-
-
-def _cached_loadtxt(path, columns: int, **kwargs) -> np.ndarray:
-    """``np.loadtxt(path, **kwargs)``, read from the cache when it holds the file.
-
-    An entry is used only if it loads as a 2-D float64 array of ``columns``
-    columns; anything else is parsed again and rewritten. The entry is
-    written to a temporary file and renamed into place, so a reader never
-    sees half of one. A cache that cannot be read or written is skipped, and
-    a parse that fails raises before anything is written.
-    """
-    entry = entry_path(path)
-    try:
-        with open(entry, "rb") as fh:
-            data = np.lib.format.read_array(fh, allow_pickle=False)
-        if data.ndim == 2 and data.dtype == np.float64 and data.shape[1] == columns:
-            return data
-    except (OSError, ValueError, EOFError):
-        pass
-    data = np.loadtxt(path, **kwargs)
-    tmp = f"{entry}.{os.getpid()}.tmp"
-    try:
-        os.makedirs(os.path.dirname(entry), exist_ok=True)
-        with open(tmp, "wb") as fh:
-            np.lib.format.write_array(fh, data, allow_pickle=False)
-        os.replace(tmp, entry)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-    return data

@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 validation error, 2 assertion/oracle failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from typing import Literal, get_args, get_origin
 
@@ -138,6 +140,19 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     return ExperimentSpec(command=args.command, **merged)
 
 
+def _check_out(path: str) -> None:
+    """Raise the error writing the output CSV to ``path`` would raise, where
+    it is certain before any work: ``path`` is a directory, or its nearest
+    existing ancestor is not one."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), parent)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -146,6 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         spec = build_spec(args)
+        _check_out(spec.out)
         COMMANDS[spec.command](spec)
         return 0
     except OracleFailure as exc:

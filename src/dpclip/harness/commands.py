@@ -6,6 +6,7 @@ schema-stable CSV."""
 from __future__ import annotations
 
 import math
+import platform
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,8 +83,11 @@ def _dataset_from_spec(spec: ExperimentSpec, *key: int) -> tuple[Dataset, Datase
     return train, None
 
 
-def _build_problem(spec: ExperimentSpec, *key: int) -> tuple[Problem, Dataset | None]:
-    """The logistic problem on the spec's data and the held-out split, if any."""
+def _build_problem(
+    spec: ExperimentSpec, *key: int
+) -> tuple[Problem, Dataset, Dataset | None]:
+    """The logistic problem on the spec's data, that training data and the
+    held-out split, if any."""
     train, test = _dataset_from_spec(spec, *key)
     m = train.num_classes if spec.csv is not None else spec.classes
     if test is not None:
@@ -91,7 +95,7 @@ def _build_problem(spec: ExperimentSpec, *key: int) -> tuple[Problem, Dataset | 
     problem = logistic_problem(train, m)
     if spec.batch > train.n:
         raise SpecValidationError(f"batch {spec.batch} exceeds dataset size {train.n}")
-    return problem, test
+    return problem, train, test
 
 
 def _metric_value(
@@ -104,11 +108,33 @@ def _metric_value(
     return problem.objective(w) - f_star
 
 
-def _reference(problem: Problem, spec: ExperimentSpec) -> tuple[np.ndarray, float]:
-    # non-private baseline at 10x the private iteration budget
-    return reference_minimum(
-        problem, np.zeros(problem.dim), list(DEFAULT_REF_ETAS), 10 * spec.iterations
+def _reference(problem: Problem, train: Dataset, spec: ExperimentSpec) -> float:
+    """f* of the non-private baseline at 10x the private iteration budget on
+    the logistic ``problem`` over ``train``.
+
+    f* is kept in the cache under a sha256 of every input it depends on: the
+    data, the class count, the oracle's budget and step sizes, the numpy
+    version, the machine type and the package's source, so a hit never calls
+    the oracle. A non-finite f* is returned but not kept.
+    """
+    from .. import _cache  # only runs that need f* compile the cache
+
+    iterations, etas = 10 * spec.iterations, tuple(DEFAULT_REF_ETAS)
+    features, labels = train.features, train.labels
+    about = (
+        features.shape, features.dtype.str, labels.shape, labels.dtype.str,
+        problem.dim // train.dim, iterations, etas, np.__version__, platform.machine(),
     )
+    key = _cache.digest(_cache.source_digest(), repr(about).encode(), features, labels)
+
+    def compute() -> np.ndarray:
+        _, f_star = reference_minimum(problem, np.zeros(problem.dim), list(etas), iterations)
+        return np.array(f_star, dtype=np.float64)
+
+    def valid(value: np.ndarray) -> bool:
+        return value.shape == () and value.dtype == np.float64 and bool(np.isfinite(value))
+
+    return float(_cache.cached("fstar", key, compute, valid))
 
 
 def _sigma_sq_for(spec: ExperimentSpec, tau: float, problem: Problem) -> float:
@@ -168,7 +194,8 @@ def _best_over_eta(
 
 
 def _sweep(
-    problem: Problem, test: Dataset | None, spec: ExperimentSpec, taus: list[float]
+    problem: Problem, train: Dataset, test: Dataset | None, spec: ExperimentSpec,
+    taus: list[float],
 ) -> list[tuple[float, float, float]]:
     """Best-over-eta stats per clip norm.
 
@@ -176,7 +203,7 @@ def _sweep(
     run fails before the reference oracle or any DP-SGD run.
     """
     sigma_sqs = [_sigma_sq_for(spec, tau, problem) for tau in taus]
-    f_star = None if test is not None else _reference(problem, spec)[1]
+    f_star = None if test is not None else _reference(problem, train, spec)
     cells = [
         (tau, eta, sigma_sq)
         for tau, sigma_sq in zip(taus, sigma_sqs)
@@ -219,10 +246,10 @@ def resolve_candidates(
 
 def cmd_sweep_clip(spec: ExperimentSpec) -> SweepReport:
     """Best-over-eta metric per clip-norm candidate, averaged over seeds."""
-    problem, test = _build_problem(spec)
+    problem, train, test = _build_problem(spec)
     profile = build_profile(problem)
     candidates = resolve_candidates(spec.clip_candidates, profile)
-    results = _sweep(problem, test, spec, [tau for _, _, tau in candidates])
+    results = _sweep(problem, train, test, spec, [tau for _, _, tau in candidates])
     rows = [[tau, kind, *stats] for (_, kind, tau), stats in zip(candidates, results)]
     metric_kind = "accuracy" if test is not None else "suboptimality"
     write_csv(spec.out, ["tau", "tau_kind", "eta_best", "mean_metric", "std_metric"], rows)
@@ -247,7 +274,7 @@ def cmd_rnmm_pipeline(spec: ExperimentSpec) -> dict:
         if not 0 < spec.eps_rnmm < spec.epsilon:
             raise SpecValidationError("need 0 < eps_rnmm < eps_total")
         eps_dpsgd = spec.epsilon - spec.eps_rnmm
-    problem, test = _build_problem(spec)
+    problem, train, test = _build_problem(spec)
     profile = build_profile(problem)
     clamp = spec.rnmm_clamp if spec.rnmm_clamp is not None else percentile(profile, 99.9)
     if not clamp > 0:
@@ -260,7 +287,7 @@ def cmd_rnmm_pipeline(spec: ExperimentSpec) -> dict:
 
     run_spec = replace(spec, epsilon=eps_dpsgd)
     (_, metric_with, _), (_, metric_without, _) = _sweep(
-        problem, test, run_spec, [tau_selected, tau_oracle]
+        problem, train, test, run_spec, [tau_selected, tau_oracle]
     )
     report = {
         "eps_total": spec.epsilon,
@@ -301,16 +328,16 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
     # fails before the reference oracle or any DP-SGD run of another size
     cases = []
     for n in spec.n_list:
-        problem, _ = _build_problem(replace(spec, n=n, synthetic="heavy"), n)
+        problem, train, _ = _build_problem(replace(spec, n=n, synthetic="heavy"), n)
         phi = compute_phi(n, problem.dim, budget)
         g_emp = float(np.mean(problem.lipschitz**k) ** (1.0 / k))
         tau, eta = schedule_unconstrained_convex(
             g_emp, spec.gamma, spec.growth_c, spec.iterations, phi, k
         )
-        cases.append((n, phi, problem, tau, eta, _sigma_sq_for(spec, tau, problem)))
+        cases.append((n, phi, problem, train, tau, eta, _sigma_sq_for(spec, tau, problem)))
     rows = []
-    for n, phi, problem, tau, eta, sigma_sq in cases:
-        _, f_star = _reference(problem, spec)
+    for n, phi, problem, train, tau, eta, sigma_sq in cases:
+        f_star = _reference(problem, train, spec)
         (risks,) = _run_cells(problem, None, f_star, spec, [(tau, eta, sigma_sq)])
         rows.append([n, phi, k, float(np.median(risks))])
     write_csv(spec.out, ["n", "phi", "k", "median_risk"], rows)

@@ -1,16 +1,22 @@
 """Tests for the experiment commands and CLI plumbing."""
 
+import errno
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dpclip import _cache
+from dpclip.harness import commands
 from dpclip.harness.cli import COMMAND_FIELDS, build_parser, main
 from dpclip.harness.commands import (
     COMMANDS,
@@ -23,6 +29,7 @@ from dpclip.harness.commands import (
 from dpclip.harness.spec import ExperimentSpec, SpecValidationError
 from dpclip.lipschitz import LipschitzProfile
 from dpclip.losses import (
+    Dataset,
     heavy_tailed_logistic_dataset,
     logistic_problem,
     planted_logistic_dataset,
@@ -320,6 +327,49 @@ def test_cli_empty_or_out_of_range_field_exits_1_before_any_work(
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and re.search(rf"\b{name}\b", err), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-clip", "--synthetic", "planted", "--n", "2000", "--dim", "20",
+         "--iterations", "300", "--batch", "100"],
+        ["sweep-clip", "--csv", "train.csv"],
+        ["rnmm-pipeline", "--synthetic", "planted", "--eps-rnmm", "0.5"],
+        ["phi-scaling"],
+        ["bias-oracle"],
+        ["lower-bound-demo"],
+    ],
+    ids=["sweep-synthetic", "sweep-csv", "rnmm-pipeline", "phi-scaling", "bias-oracle",
+         "lower-bound-demo"],
+)
+@pytest.mark.parametrize("where", ["a-directory", "under-a-file"])
+def test_cli_unwritable_out_exits_3_before_any_work(
+    monkeypatch, tmp_path, capsys, argv, where
+):
+    # the CSV is written last, so an --out that is a directory, or that lies
+    # under a file, failed only after the whole run
+    _forbid_work(monkeypatch, ("planted_logistic_dataset", "heavy_tailed_logistic_dataset",
+                               "load_dataset_csv", "sample_Qv_many", "clipping_bias_exact",
+                               "reference_minimum", "run_dp_sgd"))
+    monkeypatch.chdir(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    if where == "a-directory":
+        out, code, culprit = tmp_path, errno.EISDIR, tmp_path
+    else:
+        out, code, culprit = blocker / "sub" / "x.csv", errno.ENOTDIR, blocker
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"i/o error: [Errno {code}] {os.strerror(code)}: '{culprit}'\n"
+    )
+
+
+def test_cli_out_in_missing_directories_is_written(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for out in ("b.csv", "new/dirs/b.csv", str(tmp_path / "other" / "b.csv")):
+        assert main(["bias-oracle", "--count", "2", "--out", out]) == 0
+        assert (tmp_path / out).is_file()
 
 
 def test_lower_bound_demo_has_no_sampling_oracle(tmp_path):
@@ -850,3 +900,189 @@ def test_cli_rejects_non_finite_input_before_running(tmp_path, capsys, bad_row, 
         err = capsys.readouterr().err
         assert all(cause in err for cause in causes), err
         assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# The reference oracle's cache
+# ---------------------------------------------------------------------------
+
+
+def _oracle_entries(home):
+    """Names of the f* entries in the dpclip cache under ``home``."""
+    return sorted(p.name for p in (home / "dpclip").glob("fstar-*"))
+
+
+def _counting_oracle(monkeypatch):
+    calls = []
+    oracle = commands.reference_minimum
+
+    def counted(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(commands, "reference_minimum", counted)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore::dpclip.privacy.PrivacyRegimeWarning")
+@pytest.mark.parametrize(
+    "command, kw, entries",
+    [
+        ("sweep-clip", dict(clip_candidates=("p0", "p100")), 1),
+        ("phi-scaling", dict(synthetic="heavy", n_list=(150, 600), dim=3, classes=2,
+                             iterations=30, batch=15.0, append_bias=False), 2),
+        ("rnmm-pipeline", dict(eps_rnmm=1.0), 1),
+    ],
+    ids=["sweep-clip", "phi-scaling", "rnmm-pipeline"],
+)
+def test_oracle_cache_warm_run_writes_the_cold_bytes(
+    monkeypatch, tmp_path, private_cache_home, command, kw, entries
+):
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    COMMANDS[command](_tiny_spec(command, cold, **kw))
+    assert len(_oracle_entries(private_cache_home)) == entries  # one per problem
+    _forbid_work(monkeypatch, ("reference_minimum",))
+    COMMANDS[command](_tiny_spec(command, warm, **kw))
+    assert warm.read_bytes() == cold.read_bytes()
+
+
+def _one_ulp_up(train):
+    features = train.features.copy()
+    features[7, 1] = np.nextafter(features[7, 1], np.inf)
+    return Dataset(features, train.labels, train.bias_appended)
+
+
+def _flip_a_label(train):
+    labels = train.labels.copy()
+    labels[7] = (labels[7] + 1) % 3
+    return Dataset(train.features, labels, train.bias_appended)
+
+
+def _patched(monkeypatch, target, name, value, case):
+    monkeypatch.setattr(target, name, value)
+    return case
+
+
+# each maps (monkeypatch, train, classes, spec) to a changed (train, classes, spec)
+_KEY_PART_CHANGES = {
+    "one-ulp-feature": lambda mp, train, m, spec: (_one_ulp_up(train), m, spec),
+    "flipped-label": lambda mp, train, m, spec: (_flip_a_label(train), m, spec),
+    "iterations": lambda mp, train, m, spec: (train, m, replace(spec, iterations=41)),
+    "classes": lambda mp, train, m, spec: (train, m + 1, spec),
+    "no-bias-column": lambda mp, train, m, spec: (
+        Dataset(train.features[:, :-1], train.labels), m, spec
+    ),
+    "ref-etas": lambda mp, *case: _patched(
+        mp, commands, "DEFAULT_REF_ETAS", (0.1, 0.3, 1.0), case
+    ),
+    "numpy-version": lambda mp, *case: _patched(mp, np, "__version__", "0.0.0", case),
+    "machine": lambda mp, *case: _patched(mp, platform, "machine", lambda: "other", case),
+    "source": lambda mp, *case: _patched(mp, _cache, "source_digest", lambda: bytes(32), case),
+}
+
+
+@pytest.mark.parametrize("part", list(_KEY_PART_CHANGES))
+def test_oracle_cache_misses_on_each_key_part(monkeypatch, private_cache_home, part):
+    spec = _tiny_spec("sweep-clip", "x.csv")
+    rng = np.random.default_rng(5)
+    train = planted_logistic_dataset(120, 4, 3, rng, 0.5, 4.0).with_bias()
+    calls = _counting_oracle(monkeypatch)
+    f_star = commands._reference(logistic_problem(train, 3), train, spec)
+    assert commands._reference(logistic_problem(train, 3), train, spec) == f_star
+    assert len(calls) == 1
+    changed, m, changed_spec = _KEY_PART_CHANGES[part](monkeypatch, train, 3, spec)
+    commands._reference(logistic_problem(changed, m), changed, changed_spec)
+    assert len(calls) == 2
+    assert len(_oracle_entries(private_cache_home)) == 2
+
+
+def test_oracle_cache_misses_on_each_dataset_flag(monkeypatch, tmp_path, private_cache_home):
+    calls = _counting_oracle(monkeypatch)
+    argv = ["sweep-clip", "--synthetic", "planted", "--n", "60", "--dim", "3",
+            "--iterations", "10", "--batch", "10", "--eta-grid", "0.3",
+            "--clip-candidates", "p0", "--no-noise", "--out", str(tmp_path / "x.csv")]
+    for flags in ([], [], ["--iterations", "11"], ["--classes", "4"], ["--append-bias"]):
+        assert main(argv + flags) == 0
+    assert len(calls) == 4
+    assert len(_oracle_entries(private_cache_home)) == 4
+
+
+@pytest.mark.filterwarnings("ignore::dpclip.privacy.PrivacyRegimeWarning")
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda entry: entry.write_bytes(entry.read_bytes()[:-4]),
+        lambda entry: np.save(entry, np.array([0.5, 0.5])),
+        lambda entry: np.save(entry, np.array(0.5, dtype=np.float32)),
+        lambda entry: np.save(entry, np.array(math.nan)),
+    ],
+    ids=["truncated", "two-values", "float32", "nan"],
+)
+def test_oracle_cache_bad_entry_is_computed_again_and_rewritten(
+    monkeypatch, tmp_path, private_cache_home, spoil
+):
+    spec = _tiny_spec("sweep-clip", tmp_path / "first.csv", clip_candidates=("p0",))
+    cmd_sweep_clip(spec)
+    (name,) = _oracle_entries(private_cache_home)
+    entry = private_cache_home / "dpclip" / name
+    good = entry.read_bytes()
+    spoil(entry)
+    calls = _counting_oracle(monkeypatch)
+    cmd_sweep_clip(replace(spec, out=str(tmp_path / "again.csv")))
+    assert len(calls) == 1
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+    assert _oracle_entries(private_cache_home) == [name] and entry.read_bytes() == good
+
+
+@pytest.mark.parametrize("f_star", [math.inf, math.nan])
+def test_oracle_cache_keeps_no_non_finite_f_star(monkeypatch, private_cache_home, f_star):
+    calls = []
+
+    def oracle(problem, w0, etas, T):
+        calls.append(T)
+        return w0, f_star
+
+    monkeypatch.setattr(commands, "reference_minimum", oracle)
+    train = planted_logistic_dataset(40, 3, 2, np.random.default_rng(2), 0.5, 2.0)
+    spec = _tiny_spec("sweep-clip", "x.csv")
+    for _ in range(2):
+        got = commands._reference(logistic_problem(train, 2), train, spec)
+        assert got == f_star or (math.isnan(got) and math.isnan(f_star))
+    assert len(calls) == 2
+    assert not (private_cache_home / "dpclip").exists()
+
+
+def _write_half_then_fail(fh, array, **kwargs):
+    fh.write(b"\x93NUMPY")
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("case", ["not-a-directory", "disk-full"])
+def test_oracle_cache_unwritable_just_computes(monkeypatch, tmp_path, private_cache_home, case):
+    if case == "not-a-directory":
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    else:
+        monkeypatch.setattr(np.lib.format, "write_array", _write_half_then_fail)
+    calls = _counting_oracle(monkeypatch)
+    outs = [tmp_path / "first.csv", tmp_path / "again.csv"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for out in outs:
+            cmd_sweep_clip(_tiny_spec("sweep-clip", out, clip_candidates=("p0",), no_noise=True))
+    assert len(calls) == 2
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    left = [p.name for p in tmp_path.rglob("*") if p.suffix in (".npy", ".tmp")]
+    assert left == []  # no entry, no temporary file
+
+
+def test_oracle_cache_sweep_with_a_test_split_writes_no_entry(tmp_path, private_cache_home):
+    train_path, test_path = _split_csvs(tmp_path)
+    spec = _tiny_spec(
+        "sweep-clip", tmp_path / "acc.csv", synthetic=None, csv=str(train_path),
+        test_csv=str(test_path), clip_candidates=("p0",), batch=25.0,
+    )
+    cmd_sweep_clip(spec)
+    names = sorted(p.name for p in (private_cache_home / "dpclip").iterdir())
+    assert len(names) == 2 and all(name.startswith("loadtxt1-") for name in names)
