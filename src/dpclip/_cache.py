@@ -1,8 +1,11 @@
 """A content-addressed store of numpy arrays, one ``.npy`` file per entry.
 
 An entry is ``$XDG_CACHE_HOME/dpclip/<tag>-<sha256>.npy`` (``~/.cache/dpclip``
-when that variable is unset, empty or relative): the tag names what was
-computed, the sha256 every input it was computed from. A cache that is
+when that variable is unset, empty or relative): the sha256 covers every
+input the value was computed from, and the tag names what was computed and
+the version of the code that computes it. Each caller keeps its tag as a
+constant and bumps it whenever that code starts to return other bits for the
+same inputs, so that no older entry is ever read back. A cache that is
 missing, unreadable, unwritable or holds a spoiled entry only costs the
 computation again. Only the code that uses the store imports it: without
 bytecode files every run compiles what it imports.
@@ -14,7 +17,6 @@ import contextlib
 import functools
 import hashlib
 import os
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -79,15 +81,3 @@ def file_digest(path) -> str:
         for block in iter(functools.partial(fh.read, 1 << 20), b""):
             key.update(block)
     return key.hexdigest()
-
-
-def source_digest() -> bytes:
-    """sha256 over the path and bytes of each of the package's ``.py`` files,
-    so that an entry computed by other code is never read back."""
-    package = Path(__file__).resolve().parent
-    key = hashlib.sha256()
-    for path in sorted(package.rglob("*.py")):
-        text = path.read_bytes()
-        key.update(f"{path.relative_to(package).as_posix()}\0{len(text)}\0".encode())
-        key.update(text)
-    return key.digest()

@@ -46,6 +46,11 @@ _TAG_RNMM = 13
 _TAG_QV = 14
 _TAG_BIAS = 15
 
+# Names the oracle that an f* entry of the cache holds. Bump it whenever
+# reference_minimum, subgradient_descent, logistic_problem or anything they
+# call starts to return other bits for the same data and budget.
+FSTAR_TAG = "fstar1"
+
 
 @dataclass
 class SweepReport:
@@ -112,20 +117,14 @@ def _reference(problem: Problem, train: Dataset, spec: ExperimentSpec) -> float:
     """f* of the non-private baseline at 10x the private iteration budget on
     the logistic ``problem`` over ``train``.
 
-    f* is kept in the cache under a sha256 of every input it depends on: the
-    data, the class count, the oracle's budget and step sizes, the numpy
-    version, the machine type and the package's source, so a hit never calls
-    the oracle. A non-finite f* is returned but not kept.
+    f* is kept in the cache under ``FSTAR_TAG`` and a sha256 of every input
+    it depends on: the data, the class count, the oracle's budget and step
+    sizes, and what decides the bits of numpy's arithmetic here (its
+    version, the machine type, its BLAS build and the SIMD extensions it
+    dispatches to), so a hit never calls the oracle. A non-finite f* is
+    returned but not kept, and nothing is kept under numpy < 1.26.
     """
-    from .. import _cache  # only runs that need f* compile the cache
-
     iterations, etas = 10 * spec.iterations, tuple(DEFAULT_REF_ETAS)
-    features, labels = train.features, train.labels
-    about = (
-        features.shape, features.dtype.str, labels.shape, labels.dtype.str,
-        problem.dim // train.dim, iterations, etas, np.__version__, platform.machine(),
-    )
-    key = _cache.digest(_cache.source_digest(), repr(about).encode(), features, labels)
 
     def compute() -> np.ndarray:
         _, f_star = reference_minimum(problem, np.zeros(problem.dim), list(etas), iterations)
@@ -134,7 +133,20 @@ def _reference(problem: Problem, train: Dataset, spec: ExperimentSpec) -> float:
     def valid(value: np.ndarray) -> bool:
         return value.shape == () and value.dtype == np.float64 and bool(np.isfinite(value))
 
-    return float(_cache.cached("fstar", key, compute, valid))
+    try:
+        build = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 cannot describe its build, so f* is not kept
+        return float(compute())
+    from .. import _cache  # only runs that need f* compile the cache
+
+    features, labels = train.features, train.labels
+    about = (
+        features.shape, features.dtype.str, labels.shape, labels.dtype.str,
+        problem.dim // train.dim, iterations, etas, np.__version__, platform.machine(),
+        build["Build Dependencies"], build["SIMD Extensions"],
+    )
+    key = _cache.digest(repr(about).encode(), features, labels)
+    return float(_cache.cached(FSTAR_TAG, key, compute, valid))
 
 
 def _sigma_sq_for(spec: ExperimentSpec, tau: float, problem: Problem) -> float:

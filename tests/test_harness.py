@@ -1,8 +1,11 @@
 """Tests for the experiment commands and CLI plumbing."""
 
+import copy
 import errno
+import functools
 import json
 import math
+import operator
 import os
 import platform
 import re
@@ -15,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpclip import _cache
 from dpclip.harness import commands
 from dpclip.harness.cli import COMMAND_FIELDS, build_parser, main
 from dpclip.harness.commands import (
@@ -908,8 +910,8 @@ def test_cli_rejects_non_finite_input_before_running(tmp_path, capsys, bad_row, 
 
 
 def _oracle_entries(home):
-    """Names of the f* entries in the dpclip cache under ``home``."""
-    return sorted(p.name for p in (home / "dpclip").glob("fstar-*"))
+    """Names of the f* entries, of any tag, in the dpclip cache under ``home``."""
+    return sorted(p.name for p in (home / "dpclip").glob("fstar*-*.npy"))
 
 
 def _counting_oracle(monkeypatch):
@@ -958,6 +960,20 @@ def _flip_a_label(train):
     return Dataset(train.features, labels, train.bias_appended)
 
 
+def _other_build(*path):
+    """np.show_config with the entry at ``path`` of its dicts changed."""
+    show_config = np.show_config
+
+    def other(mode):
+        build = copy.deepcopy(show_config(mode=mode))
+        *parents, leaf = path
+        node = functools.reduce(operator.getitem, parents, build)
+        node[leaf] = ["other"]
+        return build
+
+    return other
+
+
 def _patched(monkeypatch, target, name, value, case):
     monkeypatch.setattr(target, name, value)
     return case
@@ -977,7 +993,13 @@ _KEY_PART_CHANGES = {
     ),
     "numpy-version": lambda mp, *case: _patched(mp, np, "__version__", "0.0.0", case),
     "machine": lambda mp, *case: _patched(mp, platform, "machine", lambda: "other", case),
-    "source": lambda mp, *case: _patched(mp, _cache, "source_digest", lambda: bytes(32), case),
+    "blas-build": lambda mp, *case: _patched(
+        mp, np, "show_config", _other_build("Build Dependencies", "blas", "version"), case
+    ),
+    "simd-extensions": lambda mp, *case: _patched(
+        mp, np, "show_config", _other_build("SIMD Extensions", "found"), case
+    ),
+    "tag": lambda mp, *case: _patched(mp, commands, "FSTAR_TAG", "fstar0", case),
 }
 
 
@@ -1005,6 +1027,55 @@ def test_oracle_cache_misses_on_each_dataset_flag(monkeypatch, tmp_path, private
         assert main(argv + flags) == 0
     assert len(calls) == 4
     assert len(_oracle_entries(private_cache_home)) == 4
+
+
+# flags that change the private runs but not the data or the oracle's budget
+_RUN_FLAG_CHANGES = [
+    [], ["--epsilon", "4"], ["--delta", "1e-6"], ["--seeds", "4,5,6"],
+    ["--eta-grid", "0.03,1"], ["--clip-candidates", "p0,p50,p100"], ["--batch", "15"],
+    ["--no-noise"],
+]
+
+
+@pytest.mark.filterwarnings("ignore::dpclip.privacy.PrivacyRegimeWarning")
+@pytest.mark.parametrize("data", ["synthetic", "csv"])
+def test_oracle_cache_is_hit_across_privacy_seed_and_grid_flags(
+    monkeypatch, tmp_path, private_cache_home, data
+):
+    # the traffic the cache is for: one dataset swept over epsilon, seeds,
+    # step sizes and clip candidates runs the oracle once, and each run
+    # writes the bytes it writes from an empty cache
+    if data == "synthetic":
+        source = ["--synthetic", "planted", "--n", "60", "--dim", "3", "--append-bias"]
+    else:
+        source = ["--csv", str(_split_csvs(tmp_path)[0])]
+    base = ["sweep-clip", *source, "--iterations", "10", "--batch", "10", "--eta-grid", "0.3",
+            "--clip-candidates", "p0", "--seeds", "0,1"]
+    calls = _counting_oracle(monkeypatch)
+    for i, flags in enumerate(_RUN_FLAG_CHANGES):
+        warm, cold = tmp_path / f"warm{i}.csv", tmp_path / f"cold{i}.csv"
+        assert main([*base, *flags, "--out", str(warm)]) == 0
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"empty{i}"))
+        assert main([*base, *flags, "--out", str(cold)]) == 0
+        monkeypatch.setenv("XDG_CACHE_HOME", str(private_cache_home))
+        assert warm.read_bytes() == cold.read_bytes()
+    assert len(calls) == 1 + len(_RUN_FLAG_CHANGES)  # the first run, then each empty cache
+    assert len(_oracle_entries(private_cache_home)) == 1
+
+
+def test_oracle_cache_is_off_where_numpy_cannot_describe_its_build(
+    monkeypatch, private_cache_home
+):
+    def show_config():  # the signature before numpy 1.26, which printed
+        raise AssertionError("not called without mode")
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    calls = _counting_oracle(monkeypatch)
+    train = planted_logistic_dataset(40, 3, 2, np.random.default_rng(2), 0.5, 2.0)
+    spec = _tiny_spec("sweep-clip", "x.csv")
+    f_stars = {commands._reference(logistic_problem(train, 2), train, spec) for _ in range(2)}
+    assert len(f_stars) == 1 and len(calls) == 2
+    assert not (private_cache_home / "dpclip").exists()
 
 
 @pytest.mark.filterwarnings("ignore::dpclip.privacy.PrivacyRegimeWarning")
