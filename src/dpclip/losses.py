@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .clipping import row_norms
+
 
 @dataclass
 class Dataset:
@@ -96,6 +98,13 @@ class Problem:
     call; the reference oracle uses it. A family may supply
     ``full_value_and_grad(w)``, a fused full-data pass that must give exactly
     these two values, bit for bit; without one the two are computed apart.
+
+    A family may also supply ``clipped_sum(W, idx, taus)``: for a (K, dim)
+    stack ``W`` and a (K,) vector of clip thresholds, the (K, dim) sums of
+    each iterate's gradient rows over ``idx``, each row clipped to its
+    iterate's threshold. It must be bitwise ``clip_rows(grads_at(W,
+    idx).reshape(K, len(idx), dim), taus[:, None]).sum(axis=1)``, which is
+    what :func:`dpclip.optimizer.dp_sgd_step` computes without one.
     """
 
     n: int
@@ -107,6 +116,7 @@ class Problem:
     loss: Callable[[np.ndarray, int], float] | None = None
     grad: Callable[[np.ndarray, int], np.ndarray] | None = None
     full_value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
+    clipped_sum: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.batch_loss is None:
@@ -214,6 +224,11 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
     The per-sample Lipschitz constant is sqrt(2) times the stored row norm,
     so append the bias coordinate before calling when one is wanted. The
     per-sample infimum of the cross-entropy is 0.
+
+    Its ``clipped_sum`` never forms the (K, B, m d) gradient block. A row's
+    gradient is the outer product (p - e_y) x, so ||p - e_y|| ||x|| bounds
+    its norm: a row whose bound is safely below its threshold keeps scale
+    1.0 without its norm being computed, and only the other rows are built.
     """
     X = dataset.features
     y = dataset.labels
@@ -227,12 +242,12 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
     # rows is squared at a time, so the n x d square is never held whole; each
     # block uses the expression np.linalg.norm(X, axis=1) evaluates, so the
     # norms are bitwise its norms
-    row_norms = np.empty(n)
+    x_norms = np.empty(n)
     with np.errstate(over="ignore"):
         for start in range(0, n, _ROW_BLOCK):
             Xb = X[start : start + _ROW_BLOCK]
-            row_norms[start : start + _ROW_BLOCK] = np.sqrt(np.add.reduce(Xb * Xb, axis=1))
-    lipschitz = math.sqrt(2.0) * row_norms
+            x_norms[start : start + _ROW_BLOCK] = np.sqrt(np.add.reduce(Xb * Xb, axis=1))
+    lipschitz = math.sqrt(2.0) * x_norms
     bad = ~np.isfinite(lipschitz)
     if np.any(bad):
         raise ValueError(
@@ -247,7 +262,9 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
         lse = np.log(np.exp(z).sum(axis=1))
         return lse - z[np.arange(len(idx)), y[idx]]
 
-    def batch_grad(W: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def coefficients(W: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (B, d) rows X[idx] and the (K, B, m) coefficients P = p - e_y:
+        iterate k's gradient at row b is the outer product P[k, b] x_b."""
         Xb = X[idx]
         K, B = len(W), len(idx)
         # one gemm per iterate, each the call a single iterate makes; the
@@ -257,12 +274,41 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
         z = np.exp(logits - functools.reduce(np.maximum, np.moveaxis(logits, 2, 0))[..., None])
         p = z / _class_sum(np.moveaxis(z, 2, 0))[..., None]
         p[:, np.arange(B), y[idx]] -= 1.0
+        return Xb, p
+
+    def batch_grad(W: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        Xb, p = coefficients(W, idx)
+        K, B = p.shape[:2]
         # one outer product per iterate: a single (K, B, m, d) einsum is
         # slower at b = 500
         out = np.empty((K, B, m, d))
         for k in range(K):
             np.einsum("bm,bd->bmd", p[k], Xb, out=out[k])
         return out.reshape(K * B, m * d)
+
+    # The norm row_norms gives a row and the bound ||P[k, b]|| ||x_b|| agree
+    # to within (m d + 4) eps / 2 while no square underflows, since both add
+    # only nonnegative squares. So a bound below tau / margin proves that the
+    # row's norm is at most tau and its scale exactly 1.0. Rows whose bound
+    # or ||P[k, b]|| is below 1e-100, where underflowed squares could hide a
+    # part of either norm, take the exact norm, as NaN rows do.
+    margin = 1.0 + max(1e-12, (m * d + 4) * np.finfo(float).eps)
+
+    def clipped_sum(W: np.ndarray, idx: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        Xb, p = coefficients(W, idx)
+        c_norm = np.sqrt(np.einsum("kbm,kbm->kb", p, p))
+        ghost = c_norm * x_norms[idx]
+        scale = np.ones(ghost.shape)
+        exact = ~((ghost * margin < taus[:, None]) & (np.minimum(c_norm, ghost) >= 1e-100))
+        if exact.any():
+            k, b = np.nonzero(exact)
+            rows = np.einsum("rm,rd->rmd", p[k, b], Xb[b]).reshape(k.size, m * d)
+            # the scale clip_rows gives these rows
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scale[k, b] = np.fmin(1.0, taus[k] / row_norms(rows))
+        # no optimize=: einsum forms fl(fl(p x) s) and adds over b in order,
+        # as clip_rows(...).sum(axis=1) does, with no (K, B, m d) block
+        return np.einsum("kbm,bd,kb->kmd", p, Xb, scale).reshape(len(W), m * d)
 
     XT = true_at = None  # made on the first full pass, which most runs never make
 
@@ -293,6 +339,7 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
         batch_loss=batch_loss,
         batch_grad=batch_grad,
         full_value_and_grad=full_value_and_grad,
+        clipped_sum=clipped_sum,
     )
 
 

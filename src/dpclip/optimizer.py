@@ -59,7 +59,13 @@ class DpSgdConfig:
         if not self.b > 0:
             raise ValueError("expected batch size must be positive")
         if not self.sigma_sq >= 0:
-            raise ValueError("sigma_sq must be nonnegative")
+            raise ValueError(f"sigma_sq must be nonnegative, got {self.sigma_sq!r}")
+        if self.sigma_sq == math.inf:
+            raise ValueError("sigma_sq must be finite, got inf")
+        bad = ~np.isfinite(self.w0)
+        if bad.any():
+            i = int(np.argmax(bad.ravel()))
+            raise ValueError(f"w0 must be finite, got {float(self.w0.ravel()[i])} at index {i}")
 
 
 def _check_batch(n: int, b: float) -> None:
@@ -74,21 +80,26 @@ def poisson_sample(n: int, b: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def dp_sgd_step(
-    w: np.ndarray | list[np.ndarray],
+    w: np.ndarray,
     problem: Problem,
     config: DpSgdConfig | list[DpSgdConfig],
     rng: np.random.Generator,
-) -> np.ndarray | list[np.ndarray]:
+) -> np.ndarray:
     """One update: sample, clip, average by the fixed b, noise, step.
 
-    Given a list of iterates and a list of configs, it steps each iterate
-    with its config and returns the list of updates. The configs then share
-    one batch and one standard normal draw z, so they must agree on ``b``
-    and on whether ``sigma_sq > 0``; each adds its own ``sqrt(sigma_sq) * z``,
-    which is bitwise the draw ``rng.normal(0, sqrt(sigma_sq), dim)`` a single
-    config makes. The iterates are stacked, so one ``grads_at`` call gives
-    every config's gradient rows, and one ``clip_rows`` call clips their
-    (K, B, dim) block against the (K, 1) column of the configs' thresholds.
+    Given one iterate and one config, it returns the update. Given a (K, dim)
+    stack of iterates and a list of K configs, it steps row k with config k
+    and returns the (K, dim) stack of updates. The
+    configs then share one batch and one standard normal draw z, so they
+    must agree on ``b`` and on whether ``sigma_sq > 0``; each adds its own
+    ``sqrt(sigma_sq) * z``, which is bitwise the draw
+    ``rng.normal(0, sqrt(sigma_sq), dim)`` a single config makes.
+
+    The clipped sums come from ``problem.clipped_sum`` when the problem
+    supplies one (logistic regression does). Otherwise one ``grads_at`` call
+    gives every iterate's gradient rows, and one ``clip_rows`` call clips
+    their (K, B, dim) block against the (K, 1) column of the configs'
+    thresholds; the two paths agree bit for bit.
 
     An empty Poisson batch has ``(0, dim)`` gradients whose clipped sum is the
     zero vector, so it contributes noise only. With sigma_sq = 0 no noise is
@@ -96,21 +107,25 @@ def dp_sgd_step(
     when clipping is inactive and b = n.
     """
     one = isinstance(config, DpSgdConfig)
-    ws, configs = ([w], [config]) if one else (w, config)
+    configs = [config] if one else config
     b, noisy = configs[0].b, configs[0].sigma_sq > 0
     if any(c.b != b or (c.sigma_sq > 0) != noisy for c in configs):
         raise ValueError("configs stepped together must share b and whether sigma_sq > 0")
     batch = poisson_sample(problem.n, b, rng)
     z = gaussian_noise(NoiseSpec(1.0, problem.dim), rng) if noisy else None
-    W = np.stack(ws)
-    grads = problem.grads_at(W, batch).reshape(len(configs), batch.size, problem.dim)
-    g = clip_rows(grads, np.array([[c.tau] for c in configs])).sum(axis=1) / b
+    W = np.atleast_2d(w)
+    taus = np.array([c.tau for c in configs])
+    if problem.clipped_sum is not None:
+        g = problem.clipped_sum(W, batch, taus) / b
+    else:
+        grads = problem.grads_at(W, batch).reshape(len(configs), batch.size, problem.dim)
+        g = clip_rows(grads, taus[:, None]).sum(axis=1) / b
     if z is not None:
         # 0.0 + scale * z is how numpy's normal(loc=0.0, scale) forms a draw
         scales = np.array([math.sqrt(c.sigma_sq) for c in configs])
         g = g + (0.0 + scales[:, None] * z)
     W = W - np.array([c.eta for c in configs])[:, None] * g
-    return W[0] if one else list(W)
+    return W[0] if one else W
 
 
 def run_dp_sgd(
@@ -154,10 +169,10 @@ def run_dp_sgd(
     def run_group(task):
         members, rng, t_hat = task
         group = [configs[i] for i in members]
-        ws = [c.w0.copy() for c in group]
+        W = np.stack([c.w0 for c in group])
         for _ in range(t_hat):
-            ws = dp_sgd_step(ws, problem, group, rng)
-        return ws
+            W = dp_sgd_step(W, problem, group, rng)
+        return list(W)
 
     out = [None] * len(configs)
     weights = [t_hat * len(members) for members, _, t_hat in tasks]

@@ -50,6 +50,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not self.sigma_sq >= 0:
             raise ValueError(f"sigma_sq must be nonnegative, got {self.sigma_sq}")
+        if self.sigma_sq == math.inf:
+            raise ValueError("sigma_sq must be finite, got inf")
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
 

@@ -858,25 +858,32 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 def test_benchmark_hooks_reach_their_layers(tmp_path):
     # bench/child.py wraps layer functions by name; a renamed or bypassed one
-    # would otherwise break only the traced benchmark
+    # would otherwise break only the traced benchmark. Logistic steps take
+    # Problem.clipped_sum, so grads_at and clip_rows are reached through the
+    # hard instance's generic step in lower-bound-demo
     root = Path(__file__).resolve().parents[1]
-    report, spans = tmp_path / "report.json", tmp_path / "spans.npz"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
-    argv = ["sweep-clip", "--synthetic", "planted", "--n", "60", "--dim", "3",
-            "--iterations", "10", "--batch", "10", "--seeds", "0,1",
-            "--eta-grid", "0.3", "--clip-candidates", "p0", "--out", str(tmp_path / "x.csv")]
-    proc = subprocess.run(
-        [sys.executable, str(root / "bench" / "child.py"), str(report),
-         "--spans", str(spans), "--", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(report.read_text(encoding="utf-8"))["exit_code"] == 0
-    with np.load(spans) as trace:
-        called = set(trace["names"][np.unique(trace["name"])])
+    shared = ["--iterations", "10", "--batch", "10", "--out", str(tmp_path / "x.csv")]
+    runs = [
+        ["sweep-clip", "--synthetic", "planted", "--n", "60", "--dim", "3",
+         "--seeds", "0,1", "--eta-grid", "0.3", "--clip-candidates", "p0", *shared],
+        ["lower-bound-demo", "--dim", "2", "--n", "60", *shared],
+    ]
+    called = set()
+    for i, argv in enumerate(runs):
+        report, spans = tmp_path / f"report{i}.json", tmp_path / f"spans{i}.npz"
+        proc = subprocess.run(
+            [sys.executable, str(root / "bench" / "child.py"), str(report),
+             "--spans", str(spans), "--", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(report.read_text(encoding="utf-8"))["exit_code"] == 0
+        with np.load(spans) as trace:
+            called |= set(trace["names"][np.unique(trace["name"])])
     assert {"optimizer.run_dp_sgd", "optimizer.dp_sgd_step", "optimizer.poisson_sample",
             "clipping.clip_rows", "privacy.gaussian_noise", "losses.grads_at",
             "optimizer.reference_minimum"} <= called

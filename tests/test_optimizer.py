@@ -1,12 +1,14 @@
 """Tests for the DP-SGD engine, the schedule and the reference oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from dpclip.clipping import clip_rows
+from dpclip.clipping import clip_rows, row_norms
 from dpclip.losses import (
+    Dataset,
     geometric_median_problem,
     hard_instance_problem,
     logistic_problem,
@@ -52,6 +54,12 @@ def test_config_validation():
             _config(**{field: math.nan})
     with pytest.raises(ValueError, match="eta must be nonnegative and finite, got inf"):
         _config(eta=math.inf)
+    # an infinite variance ran to a NaN iterate, and a NaN w0 ran silently
+    with pytest.raises(ValueError, match="sigma_sq must be finite, got inf"):
+        _config(sigma_sq=math.inf)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"w0 must be finite, got {bad} at index 1"):
+            _config(w0=np.array([0.0, bad]))
     # T and seed fix a run's stream, so they must be exact integers up front
     with pytest.raises(ValueError, match=r"T must be an integer >= 1, got 2\.5"):
         _config(T=2.5)
@@ -364,6 +372,119 @@ def test_second_moment_bound():
         / (n**2 * budget.epsilon**2)
     )
     assert second_moment <= bound * 1.02
+
+
+# ---------------------------------------------------------------------------
+# The logistic clipped sum against the generic clip-then-sum path
+# ---------------------------------------------------------------------------
+
+
+def _generic_clipped_sum(prob, W, idx, taus):
+    grads = prob.grads_at(W, idx).reshape(len(W), len(idx), prob.dim)
+    return clip_rows(grads, taus[:, None]).sum(axis=1)
+
+
+def _assert_clipped_sum_bitwise(prob, W, idx, taus):
+    fused = prob.clipped_sum(W, idx, taus)
+    generic = _generic_clipped_sum(prob, W, idx, taus)
+    assert fused.shape == generic.shape == (len(W), prob.dim)
+    assert np.array_equal(fused.view(np.int64), generic.view(np.int64))
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 9])
+def test_clipped_sum_is_bitwise_the_generic_path(m):
+    # every shape of the grid and every kind of threshold: none, all, some or
+    # one row clipped, and a threshold at or one ulp below a row's norm. A
+    # zero feature column (every row of it when d = 1) gives -0.0 products
+    rng = np.random.default_rng(100 + m)
+    n = 600
+    cases = 0
+    for d in (1, 2, 21, 63):
+        ds = planted_logistic_dataset(n, d, m, rng, 0.05, 50.0)
+        X = ds.features.copy()
+        X[:, 0] = np.where(np.arange(n) % 5 == 0, 0.0, X[:, 0]) if d == 1 else 0.0
+        prob = logistic_problem(Dataset(X, ds.labels), m)
+        G_min, G_max = float(prob.lipschitz[prob.lipschitz > 0].min()), float(prob.lipschitz.max())
+        for B in (0, 1, 2, 100, 500):
+            idx = np.sort(rng.choice(n, B, replace=False))
+            for K in (1, 2, 10):
+                W = rng.normal(size=(K, prob.dim)) * rng.choice([0.01, 0.3, 3.0], size=(K, 1))
+                thresholds = [G_min, G_max, math.inf, 1e-6]
+                norms = row_norms(prob.grads_at(W, idx))
+                if norms.any():
+                    N = rng.choice(norms[norms > 0])
+                    thresholds += [N, np.nextafter(N, 0)]
+                for tau in thresholds:
+                    _assert_clipped_sum_bitwise(prob, W, idx, np.full(K, tau))
+                _assert_clipped_sum_bitwise(prob, W, idx, rng.choice(thresholds, size=K))
+                cases += len(thresholds) + 1
+    assert cases > 350
+
+
+def test_clipped_sum_at_a_threshold_one_ulp_below_a_norm_the_bound_misses():
+    # the rank-one bound ||p - e_y|| ||x|| is computed with its own rounding,
+    # so on some rows it lands below the computed norm N. A threshold of
+    # nextafter(N, 0) there clips the row; the bound alone would have left it
+    # at scale 1.0. The bias coordinate 1.0 exposes p - e_y exactly
+    rng = np.random.default_rng(7)
+    ds = planted_logistic_dataset(300, 20, 3, rng, 0.5, 20.0).with_bias()
+    prob = logistic_problem(ds, 3)
+    K, m, d = 4, 3, ds.dim
+    missed = 0
+    for _ in range(300):
+        W = rng.normal(size=(K, prob.dim)) * rng.choice([0.05, 0.5])
+        idx = np.flatnonzero(rng.random(prob.n) < 0.1)
+        grads = prob.grads_at(W, idx).reshape(K, idx.size, m * d)
+        N = row_norms(grads)
+        c = np.ascontiguousarray(grads.reshape(K, idx.size, m, d)[..., -1])
+        Xb = ds.features[idx]
+        ghost = np.sqrt(np.sum(c * c, axis=2)) * np.sqrt(np.add.reduce(Xb * Xb, axis=1))
+        below = np.argwhere(ghost < np.nextafter(N, 0))
+        if not below.size:
+            continue
+        missed += 1
+        k, b = below[rng.integers(len(below))]
+        taus = rng.choice([prob.lipschitz.min(), math.inf], size=K)
+        taus[k] = np.nextafter(N[k, b], 0)
+        _assert_clipped_sum_bitwise(prob, W, idx, taus)
+    assert missed > 30
+
+
+def test_clipped_sum_when_squares_of_the_bound_underflow():
+    # x = 2**500 and a logit gap near 368 give p - e_y = (0, ~1e-160), whose
+    # square is subnormal, so the bound's norm of p - e_y has lost digits
+    # while the row (0, ~1e-160 * x) has not; such rows take the exact norm
+    x = 2.0**500
+    prob = logistic_problem(Dataset(np.full((3, 1), x), np.zeros(3, dtype=int)), 2)
+    gaps = np.linspace(360.0, 380.0, 400)
+    W = np.column_stack([gaps / x, np.zeros_like(gaps)])
+    idx = np.array([1])
+    grads = prob.grads_at(W, idx)
+    N = row_norms(grads)
+    c = grads / x  # exact: a power of two
+    ghost = np.sqrt(np.sum(c * c, axis=1)) * x
+    taus = np.nextafter(N, 0)
+    assert np.count_nonzero(ghost * (1 + 1e-6) < taus) > 100
+    _assert_clipped_sum_bitwise(prob, W, idx, taus)
+
+
+@pytest.mark.parametrize("sigma_sq", [0.0, 0.7])
+def test_run_iterates_with_clipped_sum_are_bitwise_those_without(sigma_sq):
+    rng = np.random.default_rng(17)
+    ds = planted_logistic_dataset(400, 8, 3, rng, 0.2, 30.0).with_bias()
+    prob = logistic_problem(ds, 3)
+    generic = dataclasses.replace(prob, clipped_sum=None)
+    assert prob.clipped_sum is not None and generic.clipped_sum is None
+    taus = [prob.lipschitz.min(), float(np.median(prob.lipschitz)), prob.lipschitz.max(), math.inf]
+    configs = [
+        DpSgdConfig(T=60, eta=eta, tau=tau, b=b, sigma_sq=sigma_sq,
+                    w0=0.1 * rng.normal(size=prob.dim), seed=seed)
+        for seed, b in ((0, 25.0), (3, 25.0), (3, 60.0))
+        for eta in (0.1, 1.0)
+        for tau in taus
+    ]
+    for w, w_generic in zip(run_dp_sgd(prob, configs), run_dp_sgd(generic, configs)):
+        assert np.array_equal(w.view(np.int64), w_generic.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ def test_noise_spec_validation():
         NoiseSpec(-1.0, 3)
     with pytest.raises(ValueError, match="sigma_sq must be nonnegative, got nan"):
         NoiseSpec(math.nan, 3)
+    with pytest.raises(ValueError, match="sigma_sq must be finite, got inf"):
+        NoiseSpec(math.inf, 3)
     with pytest.raises(ValueError):
         NoiseSpec(1.0, 0)
 
