@@ -229,6 +229,13 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
     gradient is the outer product (p - e_y) x, so ||p - e_y|| ||x|| bounds
     its norm: a row whose bound is safely below its threshold keeps scale
     1.0 without its norm being computed, and only the other rows are built.
+    It and ``batch_grad`` work class-major: p - e_y is kept as m contiguous
+    (K, B) class planes, so the softmax and the bound run over planes rather
+    than over K B rows of m classes each. The sums come from
+    ``einsum("mkb,bd,kb->kmd")``, whose loop over the batch stays outer and
+    so adds the rows in order at any batch size; the faster form on a (d, B)
+    copy of the rows makes that loop the inner one, which numpy's iterator
+    buffer splits past 8192 rows, and so rounds differently there.
     """
     X = dataset.features
     y = dataset.labels
@@ -262,53 +269,61 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
         lse = np.log(np.exp(z).sum(axis=1))
         return lse - z[np.arange(len(idx)), y[idx]]
 
+    classes = np.arange(m)[:, None]
+
     def coefficients(W: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (B, d) rows X[idx] and the (K, B, m) coefficients P = p - e_y:
-        iterate k's gradient at row b is the outer product P[k, b] x_b."""
+        """The (B, d) rows X[idx] and the class-major (m, K, B) coefficients
+        P = p - e_y: iterate k's gradient at row b is the outer product
+        P[:, k, b] x_b."""
         Xb = X[idx]
-        K, B = len(W), len(idx)
-        # one gemm per iterate, each the call a single iterate makes; the
-        # class max and sum then run over strided class slices of the
-        # contiguous (K, B, m) logits, in the order of a row-wise max and sum
-        logits = Xb @ W.reshape(K, m, d).transpose(0, 2, 1)
-        z = np.exp(logits - functools.reduce(np.maximum, np.moveaxis(logits, 2, 0))[..., None])
-        p = z / _class_sum(np.moveaxis(z, 2, 0))[..., None]
-        p[:, np.arange(B), y[idx]] -= 1.0
-        return Xb, p
+        K = len(W)
+        # one gemm per iterate, each the call a single iterate makes (W @ Xb.T
+        # would round differently), copied once into m contiguous (K, B)
+        # class planes. The class max and sum then run plane by plane, in the
+        # order of a row-wise max and sum
+        P = np.ascontiguousarray(np.moveaxis(Xb @ W.reshape(K, m, d).transpose(0, 2, 1), 2, 0))
+        P -= functools.reduce(np.maximum, P)
+        np.exp(P, out=P)
+        P /= _class_sum(P)
+        # subtract the one-hot planes: 1.0 at each row's true class, and 0.0,
+        # which leaves p bitwise, at the others
+        P -= (y[idx] == classes)[:, None, :]
+        return Xb, P
 
     def batch_grad(W: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        Xb, p = coefficients(W, idx)
-        K, B = p.shape[:2]
+        Xb, P = coefficients(W, idx)
+        K, B = P.shape[1:]
         # one outer product per iterate: a single (K, B, m, d) einsum is
         # slower at b = 500
         out = np.empty((K, B, m, d))
         for k in range(K):
-            np.einsum("bm,bd->bmd", p[k], Xb, out=out[k])
+            np.einsum("mb,bd->bmd", P[:, k], Xb, out=out[k])
         return out.reshape(K * B, m * d)
 
-    # The norm row_norms gives a row and the bound ||P[k, b]|| ||x_b|| agree
+    # The norm row_norms gives a row and the bound ||P[:, k, b]|| ||x_b|| agree
     # to within (m d + 4) eps / 2 while no square underflows, since both add
     # only nonnegative squares. So a bound below tau / margin proves that the
     # row's norm is at most tau and its scale exactly 1.0. Rows whose bound
-    # or ||P[k, b]|| is below 1e-100, where underflowed squares could hide a
-    # part of either norm, take the exact norm, as NaN rows do.
+    # or ||P[:, k, b]|| is below 1e-100, where underflowed squares could hide
+    # a part of either norm, take the exact norm, as NaN rows do.
     margin = 1.0 + max(1e-12, (m * d + 4) * np.finfo(float).eps)
 
     def clipped_sum(W: np.ndarray, idx: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        Xb, p = coefficients(W, idx)
-        c_norm = np.sqrt(np.einsum("kbm,kbm->kb", p, p))
+        Xb, P = coefficients(W, idx)
+        c_norm = np.sqrt(np.einsum("mkb,mkb->kb", P, P))
         ghost = c_norm * x_norms[idx]
         scale = np.ones(ghost.shape)
         exact = ~((ghost * margin < taus[:, None]) & (np.minimum(c_norm, ghost) >= 1e-100))
         if exact.any():
             k, b = np.nonzero(exact)
-            rows = np.einsum("rm,rd->rmd", p[k, b], Xb[b]).reshape(k.size, m * d)
+            rows = np.einsum("mr,rd->rmd", P[:, k, b], Xb[b]).reshape(k.size, m * d)
             # the scale clip_rows gives these rows
             with np.errstate(divide="ignore", invalid="ignore"):
                 scale[k, b] = np.fmin(1.0, taus[k] / row_norms(rows))
         # no optimize=: einsum forms fl(fl(p x) s) and adds over b in order,
-        # as clip_rows(...).sum(axis=1) does, with no (K, B, m d) block
-        return np.einsum("kbm,bd,kb->kmd", p, Xb, scale).reshape(len(W), m * d)
+        # as clip_rows(...).sum(axis=1) does, with no (K, B, m d) block; not
+        # on a (d, B) Xb, which rounds differently past 8192 rows
+        return np.einsum("mkb,bd,kb->kmd", P, Xb, scale).reshape(len(W), m * d)
 
     XT = true_at = None  # made on the first full pass, which most runs never make
 

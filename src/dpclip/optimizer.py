@@ -79,21 +79,41 @@ def poisson_sample(n: int, b: float, rng: np.random.Generator) -> np.ndarray:
     return np.flatnonzero(rng.random(n) < b / n)
 
 
+class _StepConstants:
+    """What each step of configs stepped together reads from them: the shared
+    ``b`` and noise spec, the (K,) clip thresholds, and the (K, 1) columns of
+    step sizes and noise scales. :func:`run_dp_sgd` builds them once per group
+    of configs, not on every step."""
+
+    def __init__(self, problem: Problem, configs: list[DpSgdConfig]):
+        b, noisy = configs[0].b, configs[0].sigma_sq > 0
+        if any(c.b != b or (c.sigma_sq > 0) != noisy for c in configs):
+            raise ValueError("configs stepped together must share b and whether sigma_sq > 0")
+        self.b = b
+        self.taus = np.array([c.tau for c in configs])
+        self.etas = np.array([c.eta for c in configs])[:, None]
+        self.noise = NoiseSpec(1.0, problem.dim) if noisy else None
+        self.scales = np.array([math.sqrt(c.sigma_sq) for c in configs])[:, None]
+
+
 def dp_sgd_step(
     w: np.ndarray,
     problem: Problem,
-    config: DpSgdConfig | list[DpSgdConfig],
+    config: DpSgdConfig | list[DpSgdConfig] | _StepConstants,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One update: sample, clip, average by the fixed b, noise, step.
 
     Given one iterate and one config, it returns the update. Given a (K, dim)
     stack of iterates and a list of K configs, it steps row k with config k
-    and returns the (K, dim) stack of updates. The
+    and returns the (K, dim) stack of updates; a stack whose row count is not
+    the number of configs is rejected before any draw. The
     configs then share one batch and one standard normal draw z, so they
     must agree on ``b`` and on whether ``sigma_sq > 0``; each adds its own
     ``sqrt(sigma_sq) * z``, which is bitwise the draw
     ``rng.normal(0, sqrt(sigma_sq), dim)`` a single config makes.
+    :func:`run_dp_sgd` passes a group's constants, built once from its config
+    list, in place of the list.
 
     The clipped sums come from ``problem.clipped_sum`` when the problem
     supplies one (logistic regression does). Otherwise one ``grads_at`` call
@@ -107,24 +127,26 @@ def dp_sgd_step(
     when clipping is inactive and b = n.
     """
     one = isinstance(config, DpSgdConfig)
-    configs = [config] if one else config
-    b, noisy = configs[0].b, configs[0].sigma_sq > 0
-    if any(c.b != b or (c.sigma_sq > 0) != noisy for c in configs):
-        raise ValueError("configs stepped together must share b and whether sigma_sq > 0")
-    batch = poisson_sample(problem.n, b, rng)
-    z = gaussian_noise(NoiseSpec(1.0, problem.dim), rng) if noisy else None
-    W = np.atleast_2d(w)
-    taus = np.array([c.tau for c in configs])
-    if problem.clipped_sum is not None:
-        g = problem.clipped_sum(W, batch, taus) / b
+    if isinstance(config, _StepConstants):
+        step = config
     else:
-        grads = problem.grads_at(W, batch).reshape(len(configs), batch.size, problem.dim)
-        g = clip_rows(grads, taus[:, None]).sum(axis=1) / b
+        step = _StepConstants(problem, [config] if one else config)
+    W = np.atleast_2d(w)
+    if len(W) != len(step.taus):
+        raise ValueError(
+            f"need one config per iterate: got {len(step.taus)} for a stack of {len(W)}"
+        )
+    batch = poisson_sample(problem.n, step.b, rng)
+    z = gaussian_noise(step.noise, rng) if step.noise is not None else None
+    if problem.clipped_sum is not None:
+        g = problem.clipped_sum(W, batch, step.taus) / step.b
+    else:
+        grads = problem.grads_at(W, batch).reshape(len(W), batch.size, problem.dim)
+        g = clip_rows(grads, step.taus[:, None]).sum(axis=1) / step.b
     if z is not None:
         # 0.0 + scale * z is how numpy's normal(loc=0.0, scale) forms a draw
-        scales = np.array([math.sqrt(c.sigma_sq) for c in configs])
-        g = g + (0.0 + scales[:, None] * z)
-    W = W - np.array([c.eta for c in configs])[:, None] * g
+        g = g + (0.0 + step.scales * z)
+    W = W - step.etas * g
     return W[0] if one else W
 
 
@@ -144,6 +166,10 @@ def run_dp_sgd(
     group: one generator, one t̂, and one batch and noise draw per step,
     shared by the group's iterates as they are stepped together. Every
     config is checked before any draw.
+
+    Each group's step constants (the thresholds, the step-size and
+    noise-scale columns) are built once and passed to every
+    :func:`dp_sgd_step` of the group.
 
     The groups run through :func:`dpclip.parallel.fork_map`, balanced on
     t̂ × group size. Each group's generator is opened and its t̂ drawn here,
@@ -170,8 +196,9 @@ def run_dp_sgd(
         members, rng, t_hat = task
         group = [configs[i] for i in members]
         W = np.stack([c.w0 for c in group])
+        step = _StepConstants(problem, group)
         for _ in range(t_hat):
-            W = dp_sgd_step(W, problem, group, rng)
+            W = dp_sgd_step(W, problem, step, rng)
         return list(W)
 
     out = [None] * len(configs)

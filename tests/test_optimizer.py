@@ -255,6 +255,71 @@ def test_run_of_a_config_list_checks_every_config_before_any_draw(monkeypatch):
             )
 
 
+@pytest.mark.parametrize("path", ["fused", "generic"])
+def test_step_rejects_a_stack_whose_row_count_is_not_its_config_count(path):
+    # the fused sum would step every row with one config's threshold and step
+    # size, and the generic one would fail in a reshape; both must name the
+    # two counts before the generator is touched
+    rng = np.random.default_rng(3)
+    ds = planted_logistic_dataset(30, 3, 3, rng, 0.5, 4.0).with_bias()
+    prob = logistic_problem(ds, 3)
+    if path == "generic":
+        prob = dataclasses.replace(prob, clipped_sum=None)
+    config = DpSgdConfig(T=5, eta=0.3, tau=1.0, b=5.0, sigma_sq=0.4, w0=np.zeros(prob.dim))
+    cases = [
+        (np.zeros((3, prob.dim)), config, "got 1 for a stack of 3"),
+        (np.zeros((3, prob.dim)), [config, config], "got 2 for a stack of 3"),
+        (np.zeros(prob.dim), [config, config], "got 2 for a stack of 1"),
+    ]
+    for w, configs, counts in cases:
+        step_rng = np.random.default_rng(0)
+        before = step_rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"need one config per iterate: {counts}$"):
+            dp_sgd_step(w, prob, configs, step_rng)
+        assert step_rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("sigma_sq", [0.0, 0.6])
+@pytest.mark.parametrize("family", ["logistic", "geometric-median"])
+def test_run_is_bitwise_repeated_public_steps_of_each_group(family, sigma_sq):
+    # run_dp_sgd builds each group's step constants once; its iterates must be
+    # exactly t̂ calls of dp_sgd_step with the group's config list, for a group
+    # of three, a group of one and a group whose t̂ is 0
+    rng = np.random.default_rng(29)
+    if family == "logistic":
+        ds = planted_logistic_dataset(60, 3, 3, rng, 0.5, 4.0).with_bias()
+        prob = logistic_problem(ds, 3)
+    else:
+        prob = geometric_median_problem(rng.normal(0, 3, size=(40, 2)))
+    T = 12
+    t_hats = {s: int(np.random.default_rng(s).integers(T)) for s in range(50)}
+    zero = next(s for s, t in t_hats.items() if t == 0)
+    busy = [s for s, t in t_hats.items() if t >= 6][:2]
+    taus = [float(prob.lipschitz.min()), 0.5 * float(prob.lipschitz.min()), math.inf]
+    groups = [
+        (busy[0], list(zip([0.3, 0.1, 0.6], taus))),
+        (busy[1], [(1.0, taus[1])]),
+        (zero, [(0.1, taus[0]), (0.5, taus[2])]),
+    ]
+    configs = [
+        DpSgdConfig(T=T, eta=eta, tau=tau, b=7.0, sigma_sq=sigma_sq,
+                    w0=rng.normal(size=prob.dim), seed=seed)
+        for seed, cells in groups
+        for eta, tau in cells
+    ]
+    results = iter(run_dp_sgd(prob, configs))
+    for seed, cells in groups:
+        group = [c for c in configs if c.seed == seed]
+        step_rng = np.random.default_rng(seed)
+        W = np.stack([c.w0 for c in group])
+        for _ in range(int(step_rng.integers(T))):
+            W = dp_sgd_step(W, prob, group, step_rng)
+        for w_step, w_run in zip(W, results):
+            assert np.array_equal(w_run.view(np.int64), w_step.view(np.int64))
+    assert next(results, None) is None
+    assert np.array_equal(W, np.stack([c.w0 for c in group]))  # the t̂ = 0 group
+
+
 def _two_call_subgradient_descent(problem, w0, eta, T):
     # reference: separate objective and full_gradient calls at each iterate
     w = np.asarray(w0, dtype=float)
@@ -465,6 +530,22 @@ def test_clipped_sum_when_squares_of_the_bound_underflow():
     ghost = np.sqrt(np.sum(c * c, axis=1)) * x
     taus = np.nextafter(N, 0)
     assert np.count_nonzero(ghost * (1 + 1e-6) < taus) > 100
+    _assert_clipped_sum_bitwise(prob, W, idx, taus)
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("B", [8191, 8192, 8193, 9000, 20000])
+def test_clipped_sum_is_bitwise_the_generic_path_past_the_iterator_buffer(B, K):
+    # numpy's iterator buffers 8192 elements; the class-major sum keeps its
+    # reduction over the batch an outer loop, so batches on either side of
+    # that size still add their rows in order, as the generic sum does
+    rng = np.random.default_rng(B + K)
+    ds = planted_logistic_dataset(20000, 3, 3, rng, 0.05, 50.0).with_bias()
+    prob = logistic_problem(ds, 3)
+    idx = np.sort(rng.choice(prob.n, B, replace=False))
+    W = rng.normal(size=(K, prob.dim)) * rng.choice([0.05, 0.5, 3.0], size=(K, 1))
+    taus = rng.choice([prob.lipschitz.min(), float(np.median(prob.lipschitz)), math.inf], size=K)
+    taus[0] = prob.lipschitz.min()
     _assert_clipped_sum_bitwise(prob, W, idx, taus)
 
 
