@@ -342,7 +342,11 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
     for n in spec.n_list:
         problem, train, _ = _build_problem(replace(spec, n=n, synthetic="heavy"), n)
         phi = compute_phi(n, problem.dim, budget)
-        g_emp = float(np.mean(problem.lipschitz**k) ** (1.0 / k))
+        lip = problem.lipschitz
+        with np.errstate(over="ignore"):
+            g_emp = float(np.mean(lip**k) ** (1.0 / k))
+        if not math.isfinite(g_emp):  # lip**k overflowed: factor out the largest
+            g_emp = float(lip.max() * np.mean((lip / lip.max()) ** k) ** (1.0 / k))
         tau, eta = schedule_unconstrained_convex(
             g_emp, spec.gamma, spec.growth_c, spec.iterations, phi, k
         )

@@ -30,8 +30,8 @@ class ExperimentSpec:
     checked against it and stored as that type (a float field takes 10 as
     10.0, a tuple field takes a list) before any command starts. No float may
     be infinite, except where inf is the field's sentinel. The seeds, output
-    path and DP-SGD controls are range-checked here too; other fields are
-    validated by the command that reads them.
+    path, DP-SGD controls and test_csv's need of csv are checked here too;
+    other fields are validated by the command that reads them.
     """
 
     command: str
@@ -97,6 +97,8 @@ class ExperimentSpec:
             raise SpecValidationError("batch must be positive")
         if not self.eta_grid or not all(eta >= 0 for eta in self.eta_grid):
             raise SpecValidationError("eta grid must be nonempty and nonnegative")
+        if self.test_csv is not None and self.csv is None:
+            raise SpecValidationError("test_csv is a held-out split of --csv data; give --csv too")
 
 
 _TYPES = get_type_hints(ExperimentSpec)

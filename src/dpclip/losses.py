@@ -96,8 +96,8 @@ class Problem:
 
     ``value_and_grad(w)`` returns ``(objective(w), full_gradient(w))`` in one
     call; the reference oracle uses it. A family may supply
-    ``full_value_and_grad(w)``, a fused full-data pass that must give exactly
-    these two values, bit for bit; without one the two are computed apart.
+    ``full_value_and_grad(w)``, a fused full-data pass giving these two values
+    to rounding (bitwise at some shapes); without one they are computed apart.
 
     A family may also supply ``clipped_sum(W, idx, taus)``: for a (K, dim)
     stack ``W`` and a (K,) vector of clip thresholds, the (K, dim) sums of
@@ -211,8 +211,7 @@ _ROW_BLOCK = 4096  # rows per block of the row-norm pass
 def _class_sum(rows: np.ndarray) -> np.ndarray:
     """Sum the m rows of a class-major (m, ...) array bitwise as numpy sums
     the rows of the row-major (..., m) array: left to right below 8 classes,
-    as numpy does, and from 8 on by numpy itself, on a row-major copy that is
-    free when the rows are strided slices of a contiguous (..., m) array."""
+    as numpy does, and from 8 on by numpy itself, on a row-major copy."""
     if len(rows) < 8:
         return functools.reduce(np.add, rows)
     return np.ascontiguousarray(np.moveaxis(rows, 0, -1)).sum(axis=-1)
@@ -229,9 +228,9 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
     gradient is the outer product (p - e_y) x, so ||p - e_y|| ||x|| bounds
     its norm: a row whose bound is safely below its threshold keeps scale
     1.0 without its norm being computed, and only the other rows are built.
-    It and ``batch_grad`` work class-major: p - e_y is kept as m contiguous
-    (K, B) class planes, so the softmax and the bound run over planes rather
-    than over K B rows of m classes each. The sums come from
+    It, ``batch_grad`` and ``batch_loss`` start from the same shifted logits
+    in m contiguous (K, B) class planes, so the softmax and the bound run
+    over planes rather than K B rows of m classes each. The sums come from
     ``einsum("mkb,bd,kb->kmd")``, whose loop over the batch stays outer and
     so adds the rows in order at any batch size; the faster form on a (d, B)
     copy of the rows makes that loop the inner one, which numpy's iterator
@@ -262,27 +261,29 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
             " per-sample Lipschitz constants must be finite"
         )
 
-    def batch_loss(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        logits = X[idx] @ w.reshape(m, d).T
-        zmax = logits.max(axis=1, keepdims=True)
-        z = logits - zmax
-        lse = np.log(np.exp(z).sum(axis=1))
-        return lse - z[np.arange(len(idx)), y[idx]]
-
     classes = np.arange(m)[:, None]
 
-    def coefficients(W: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (B, d) rows X[idx] and the class-major (m, K, B) coefficients
-        P = p - e_y: iterate k's gradient at row b is the outer product
-        P[:, k, b] x_b."""
+    def shifted_logits(W: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (B, d) rows X[idx] and the class-major (m, K, B) logits of the
+        (K, m d) stack ``W``, each row shifted by its largest logit."""
         Xb = X[idx]
         K = len(W)
         # one gemm per iterate, each the call a single iterate makes (W @ Xb.T
         # would round differently), copied once into m contiguous (K, B)
         # class planes. The class max and sum then run plane by plane, in the
         # order of a row-wise max and sum
-        P = np.ascontiguousarray(np.moveaxis(Xb @ W.reshape(K, m, d).transpose(0, 2, 1), 2, 0))
-        P -= functools.reduce(np.maximum, P)
+        Z = np.ascontiguousarray(np.moveaxis(Xb @ W.reshape(K, m, d).transpose(0, 2, 1), 2, 0))
+        Z -= functools.reduce(np.maximum, Z)
+        return Xb, Z
+
+    def batch_loss(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        z = shifted_logits(w.reshape(1, -1), idx)[1][:, 0]
+        return np.log(_class_sum(np.exp(z))) - z[y[idx], np.arange(len(idx))]
+
+    def coefficients(W: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """shifted_logits' rows, and its planes turned into P = p - e_y: iterate
+        k's gradient at row b is the outer product P[:, k, b] x_b."""
+        Xb, P = shifted_logits(W, idx)
         np.exp(P, out=P)
         P /= _class_sum(P)
         # subtract the one-hot planes: 1.0 at each row's true class, and 0.0,
@@ -325,25 +326,24 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
         # on a (d, B) Xb, which rounds differently past 8192 rows
         return np.einsum("mkb,bd,kb->kmd", P, Xb, scale).reshape(len(W), m * d)
 
-    XT = true_at = None  # made on the first full pass, which most runs never make
+    XT = None  # made on the first full pass, which most runs never make
 
     def full_value_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
         # one class-major logits pass and one exp shared by the mean loss and
-        # the summed gradient, bitwise equal to batch_loss/batch_grad over all
-        # rows: the class max is exact in any order, _class_sum adds in numpy's
-        # row-sum order, and einsum without optimize= adds the rows
-        # sequentially, as grads_at(w).sum(axis=0) does, where a BLAS
-        # (P - Y)^T X would not
-        nonlocal XT, true_at
+        # the summed gradient. Only its (m, d) @ (d, n) gemm can round unlike
+        # the per-row one of batch_loss/batch_grad: the class max is exact,
+        # _class_sum adds in numpy's row-sum order, and einsum without
+        # optimize= adds the rows in order, where a BLAS (P - Y)^T X would not
+        nonlocal XT
         if XT is None:
-            XT, true_at = np.ascontiguousarray(X.T), y * n + np.arange(n)
+            XT = np.ascontiguousarray(X.T)
         logits = w.reshape(m, d) @ XT
         z = logits - functools.reduce(np.maximum, logits)
         e = np.exp(z)
         s = _class_sum(e)
-        f = float((np.log(s) - z.ravel()[true_at]).mean())
+        f = float((np.log(s) - z[y, np.arange(n)]).mean())
         e /= s
-        e.ravel()[true_at] -= 1.0
+        e -= y == classes
         return f, np.einsum("bm,bd->md", np.ascontiguousarray(e.T), X).ravel() / n
 
     return Problem(

@@ -331,6 +331,32 @@ def test_cli_empty_or_out_of_range_field_exits_1_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("command", ["sweep-clip", "rnmm-pipeline"])
+def test_cli_test_csv_without_csv_exits_1_before_any_work(
+    monkeypatch, tmp_path, capsys, command, route
+):
+    # synthetic data has no held-out split: the flag was ignored, and the run
+    # wrote suboptimality where held-out accuracy was asked for
+    _forbid_work(monkeypatch, ("planted_logistic_dataset", "load_dataset_csv",
+                               "reference_minimum", "run_dp_sgd"))
+    test = tmp_path / "test.csv"
+    test.write_text("0.5,-1.0,0\n1.0,2.0,1\n", encoding="utf-8")
+    argv = [command, "--synthetic", "planted", "--n", "60", "--dim", "2",
+            "--iterations", "5", "--batch", "10", "--eta-grid", "0.3"]
+    if route == "flag":
+        argv += ["--test-csv", str(test)]
+    else:
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"test_csv": str(test)}), encoding="utf-8")
+        argv += ["--config", str(config)]
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: test_csv "), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -570,6 +596,25 @@ def test_phi_scaling_problems_follow_the_per_size_recipe(monkeypatch, tmp_path):
         for a, b in ((got.lipschitz, want.lipschitz), (got.losses_at(w), want.losses_at(w)),
                      (got.grads_at(w), want.grads_at(w))):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", [200.0, 2000.0])
+def test_phi_scaling_large_moment_order_runs(tmp_path, k):
+    # the empirical k-th moment overflowed, with a RuntimeWarning, and the
+    # run then failed blaming epsilon for an infinite schedule clip norm
+    out = tmp_path / "phi.csv"
+    argv = ["phi-scaling", "--synthetic", "heavy", "--dim", "4", "--classes", "2",
+            "--tail-k", "2", "--n-list", "500,2000", "--iterations", "10",
+            "--moment-k", str(k), "--out", str(out)]
+    assert main(argv) == 0  # the test config makes a RuntimeWarning an error
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (2, 4) and np.isfinite(rows).all()
+    # the first size's k-th powers do overflow; the factored moment does not
+    spec = ExperimentSpec("phi-scaling", str(out), synthetic="heavy", dim=4, classes=2)
+    g = commands._build_problem(replace(spec, n=500), 500)[0].lipschitz
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.mean(g**k))
+    assert np.isfinite(g.max() * np.mean((g / g.max()) ** k) ** (1.0 / k))
 
 
 def test_bias_oracle_cli_and_determinism(tmp_path):

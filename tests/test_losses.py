@@ -530,6 +530,34 @@ def test_class_sum_is_numpy_row_sum_bitwise():
         assert np.array_equal(losses._class_sum(np.ascontiguousarray(e.T)), e.sum(axis=1))
 
 
+def _row_major_loss(X, y, m, w, idx):
+    """The logistic losses as computed on (B, m) row-major logits before the
+    loss moved to the class-major planes of the DP-SGD step."""
+    logits = X[idx] @ w.reshape(m, -1).T
+    z = logits - logits.max(axis=1, keepdims=True)
+    return np.log(np.exp(z).sum(axis=1)) - z[np.arange(len(idx)), y[idx]]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("m", [2, 3, 5, 9])  # 9 takes _class_sum's numpy branch
+def test_logistic_batch_loss_is_the_row_major_loss_bitwise(order, m):
+    rng = np.random.default_rng(m)
+    n = 700
+    for d in (1, 21, 41):
+        features = rng.normal(size=(n, d)) * rng.pareto(2.0, size=(n, 1))
+        ds = Dataset(np.asarray(features, order=order), rng.integers(0, m, n))
+        prob = logistic_problem(ds, m)
+        for scale in (0.0, 0.3, 30.0):
+            w = scale * rng.normal(size=prob.dim)
+            # 2000 draws from 700 rows repeat indices
+            for idx in (np.arange(0), np.array([n - 1]), rng.integers(0, n, 100),
+                        rng.integers(0, n, 2000)):
+                got = prob.batch_loss(w, idx)
+                want = _row_major_loss(ds.features, ds.labels, m, w, idx)
+                assert got.shape == want.shape == (len(idx),)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _same_bits(a, b):
     # array_equal takes -0.0 == 0.0; the bytes tell the signs apart
     return a.shape == b.shape and a.tobytes() == b.tobytes()
