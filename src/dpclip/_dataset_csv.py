@@ -1,25 +1,72 @@
-"""Dataset CSV parsing for :func:`dpclip.losses.load_dataset_csv`, with a
-cache of every parse keyed by the sha256 of the file's bytes.
+"""Dataset CSV parsing for :func:`dpclip.losses.load_dataset_csv`, with an
+on-disk cache of every parse keyed by the sha256 of the file's bytes.
 
-Each cache entry is ``np.loadtxt``'s exact output for one file, kept by
-:mod:`dpclip._cache` as ``$XDG_CACHE_HOME/dpclip/<TAG>-<sha256>.npy``
-(``~/.cache/dpclip`` when that variable is unset). Only ``load_dataset_csv``
-imports this module: without bytecode files every run compiles what it
-imports, so a run that reads no CSV does not compile the loader.
+Each cache entry is ``np.loadtxt``'s exact output for one file, kept as
+``$XDG_CACHE_HOME/dpclip/<TAG>-<sha256>.npy`` (``~/.cache/dpclip`` when that
+variable is unset, empty or relative). A cache that is missing, unreadable,
+unwritable or holds a spoiled entry only costs the parse again. Only
+``load_dataset_csv`` imports this module: without bytecode files every run
+compiles what it imports, so a run that reads no CSV does not compile the
+loader.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import hashlib
+import os
 
 import numpy as np
-
-from . import _cache
 
 # Names the parse that an entry holds. Bump it whenever read's parse (reader
 # options, header detection, encoding) changes what np.loadtxt returns for
 # the same bytes, so that no older entry is ever read back.
 TAG = "loadtxt1"
+
+
+def _entry_path(path) -> str:
+    """``$XDG_CACHE_HOME/dpclip/<TAG>-<sha256 of the file's bytes>.npy``."""
+    key = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(functools.partial(fh.read, 1 << 20), b""):
+            key.update(block)
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):  # unset, empty or relative: the XDG default
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(root, "dpclip", f"{TAG}-{key.hexdigest()}.npy")
+
+
+def _parse(path, skiprows: int, columns: int) -> np.ndarray:
+    """``np.loadtxt``'s (rows, columns) parse of the file's data rows.
+
+    The cache entry is read back when it holds a float64 array of that many
+    columns. Otherwise the file is parsed, and the parse is written to a
+    pid-named temporary file and renamed into place, so a reader never sees
+    half of an entry. A cache that cannot be read or written is skipped, and
+    a parse that raises writes nothing.
+    """
+    entry = _entry_path(path)
+    try:
+        with open(entry, "rb") as fh:
+            data = np.lib.format.read_array(fh, allow_pickle=False)
+        if data.ndim == 2 and data.dtype == np.float64 and data.shape[1] == columns:
+            return data
+    except (OSError, ValueError, EOFError):
+        pass
+    data = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2, comments=None,
+                      quotechar='"', encoding="utf-8-sig")
+    tmp = f"{entry}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(entry), exist_ok=True)
+        with open(tmp, "wb") as fh:
+            np.lib.format.write_array(fh, data, allow_pickle=False)
+        os.replace(tmp, entry)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+    return data
 
 
 def read(path) -> tuple[np.ndarray, np.ndarray]:
@@ -46,16 +93,9 @@ def read(path) -> tuple[np.ndarray, np.ndarray]:
         skiprows = reader.line_num - 1  # lines before the first data row, blank ones too
     if len(first) < 2:
         raise ValueError("rows must contain at least one feature and a label")
-    columns = len(first)
-    data = _cache.cached(
-        TAG, _cache.file_digest(path),
-        lambda: np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2, comments=None,
-                           quotechar='"', encoding="utf-8-sig"),
-        lambda data: data.ndim == 2 and data.dtype == np.float64 and data.shape[1] == columns,
-    )
+    data = _parse(path, skiprows, len(first))
     # NaN, inf and values beyond int64 are rejected before the cast, which
     # would warn on them
     if not np.all((np.abs(data[:, -1]) < 2.0**63) & (np.trunc(data[:, -1]) == data[:, -1])):
         raise ValueError("trailing column must hold integer labels")
     return data, data[:, -1].astype(np.int64)
-

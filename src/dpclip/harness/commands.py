@@ -6,7 +6,6 @@ schema-stable CSV."""
 from __future__ import annotations
 
 import math
-import platform
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,15 +28,12 @@ from ..losses import (
     planted_logistic_dataset,
     sample_Qv_many,
 )
-from ..optimizer import (
-    DpSgdConfig,
-    reference_minimum,
-    run_dp_sgd,
-    schedule_unconstrained_convex,
-)
+from ..optimizer import DpSgdConfig, run_dp_sgd, schedule_unconstrained_convex
+# unused here, but bench/child.py's set-up hook and tracer look it up on this module
+from ..optimizer import reference_minimum  # noqa: F401
 from ..privacy import PrivacyBudget, compute_phi, noise_variance, report_noisy_max
 from .io import write_csv
-from .spec import DEFAULT_REF_ETAS, ExperimentSpec, OracleFailure, SpecValidationError
+from .spec import ExperimentSpec, OracleFailure, SpecValidationError
 
 # sub-stream tags so dataset generation, selection noise and runs never share draws
 _TAG_PLANTED = 11
@@ -45,11 +41,6 @@ _TAG_HEAVY = 12
 _TAG_RNMM = 13
 _TAG_QV = 14
 _TAG_BIAS = 15
-
-# Names the oracle that an f* entry of the cache holds. Bump it whenever
-# reference_minimum, subgradient_descent, logistic_problem or anything they
-# call starts to return other bits for the same data and budget.
-FSTAR_TAG = "fstar1"
 
 
 @dataclass
@@ -88,11 +79,8 @@ def _dataset_from_spec(spec: ExperimentSpec, *key: int) -> tuple[Dataset, Datase
     return train, None
 
 
-def _build_problem(
-    spec: ExperimentSpec, *key: int
-) -> tuple[Problem, Dataset, Dataset | None]:
-    """The logistic problem on the spec's data, that training data and the
-    held-out split, if any."""
+def _build_problem(spec: ExperimentSpec, *key: int) -> tuple[Problem, Dataset | None]:
+    """The logistic problem on the spec's data and the held-out split, if any."""
     train, test = _dataset_from_spec(spec, *key)
     m = train.num_classes if spec.csv is not None else spec.classes
     if test is not None:
@@ -100,53 +88,24 @@ def _build_problem(
     problem = logistic_problem(train, m)
     if spec.batch > train.n:
         raise SpecValidationError(f"batch {spec.batch} exceeds dataset size {train.n}")
-    return problem, train, test
+    return problem, test
 
 
 def _metric_value(
-    problem: Problem, test: Dataset | None, f_star: float | None, w: np.ndarray
+    problem: Problem, test: Dataset | None, f_star: float, w: np.ndarray
 ) -> float:
-    """Held-out accuracy when a test split is given, else suboptimality."""
+    """Held-out accuracy when a test split is given, else f(w) - f_star."""
     if test is not None:
         scores = test.features @ w.reshape(-1, test.dim).T
         return float(np.mean(np.argmax(scores, axis=1) == test.labels))
     return problem.objective(w) - f_star
 
 
-def _reference(problem: Problem, train: Dataset, spec: ExperimentSpec) -> float:
-    """f* of the non-private baseline at 10x the private iteration budget on
-    the logistic ``problem`` over ``train``.
-
-    f* is kept in the cache under ``FSTAR_TAG`` and a sha256 of every input
-    it depends on: the data, the class count, the oracle's budget and step
-    sizes, and what decides the bits of numpy's arithmetic here (its
-    version, the machine type, its BLAS build and the SIMD extensions it
-    dispatches to), so a hit never calls the oracle. A non-finite f* is
-    returned but not kept, and nothing is kept under numpy < 1.26.
-    """
-    iterations, etas = 10 * spec.iterations, tuple(DEFAULT_REF_ETAS)
-
-    def compute() -> np.ndarray:
-        _, f_star = reference_minimum(problem, np.zeros(problem.dim), list(etas), iterations)
-        return np.array(f_star, dtype=np.float64)
-
-    def valid(value: np.ndarray) -> bool:
-        return value.shape == () and value.dtype == np.float64 and bool(np.isfinite(value))
-
-    try:
-        build = np.show_config(mode="dicts")
-    except TypeError:  # numpy < 1.26 cannot describe its build, so f* is not kept
-        return float(compute())
-    from .. import _cache  # only runs that need f* compile the cache
-
-    features, labels = train.features, train.labels
-    about = (
-        features.shape, features.dtype.str, labels.shape, labels.dtype.str,
-        problem.dim // train.dim, iterations, etas, np.__version__, platform.machine(),
-        build["Build Dependencies"], build["SIMD Extensions"],
-    )
-    key = _cache.digest(repr(about).encode(), features, labels)
-    return float(_cache.cached(FSTAR_TAG, key, compute, valid))
+# Cross-entropy is nonnegative, so 0 bounds every logistic objective from
+# below. The generators' planted labels follow a noiseless linear rule, so on
+# their data inf f = 0 and f(w) - 0 is the exact suboptimality; on CSV data it
+# is the training loss.
+_LOGISTIC_LOWER_BOUND = 0.0
 
 
 def _sigma_sq_for(spec: ExperimentSpec, tau: float, problem: Problem) -> float:
@@ -161,8 +120,8 @@ def _sigma_sq_for(spec: ExperimentSpec, tau: float, problem: Problem) -> float:
 
 
 def _run_cells(
-    problem: Problem, test: Dataset | None, f_star: float | None,
-    spec: ExperimentSpec, cells: list[tuple[float, float, float]],
+    problem: Problem, test: Dataset | None, f_star: float, spec: ExperimentSpec,
+    cells: list[tuple[float, float, float]],
 ) -> np.ndarray:
     """The (cell, seed) array of metrics: one DP-SGD run from the origin per
     (tau, eta, sigma_sq) cell and spec seed.
@@ -206,22 +165,20 @@ def _best_over_eta(
 
 
 def _sweep(
-    problem: Problem, train: Dataset, test: Dataset | None, spec: ExperimentSpec,
-    taus: list[float],
+    problem: Problem, test: Dataset | None, spec: ExperimentSpec, taus: list[float]
 ) -> list[tuple[float, float, float]]:
     """Best-over-eta stats per clip norm.
 
     The noise of every clip norm is calibrated first, so a norm that cannot be
-    run fails before the reference oracle or any DP-SGD run.
+    run fails before any DP-SGD run.
     """
     sigma_sqs = [_sigma_sq_for(spec, tau, problem) for tau in taus]
-    f_star = None if test is not None else _reference(problem, train, spec)
     cells = [
         (tau, eta, sigma_sq)
         for tau, sigma_sq in zip(taus, sigma_sqs)
         for eta in spec.eta_grid
     ]
-    metrics = _run_cells(problem, test, f_star, spec, cells)
+    metrics = _run_cells(problem, test, _LOGISTIC_LOWER_BOUND, spec, cells)
     return _best_over_eta(test, spec, taus, metrics.reshape(len(taus), len(spec.eta_grid), -1))
 
 
@@ -258,12 +215,15 @@ def resolve_candidates(
 
 def cmd_sweep_clip(spec: ExperimentSpec) -> SweepReport:
     """Best-over-eta metric per clip-norm candidate, averaged over seeds."""
-    problem, train, test = _build_problem(spec)
+    problem, test = _build_problem(spec)
     profile = build_profile(problem)
     candidates = resolve_candidates(spec.clip_candidates, profile)
-    results = _sweep(problem, train, test, spec, [tau for _, _, tau in candidates])
+    results = _sweep(problem, test, spec, [tau for _, _, tau in candidates])
     rows = [[tau, kind, *stats] for (_, kind, tau), stats in zip(candidates, results)]
-    metric_kind = "accuracy" if test is not None else "suboptimality"
+    if test is not None:
+        metric_kind = "accuracy"
+    else:  # inf f = 0 is certified only for the generators' planted labels
+        metric_kind = "train_loss" if spec.csv is not None else "suboptimality"
     write_csv(spec.out, ["tau", "tau_kind", "eta_best", "mean_metric", "std_metric"], rows)
     print(f"sweep-clip: {len(rows)} clip norms -> {spec.out} ({metric_kind})")
     return SweepReport(metric_kind=metric_kind, rows=rows)
@@ -286,7 +246,7 @@ def cmd_rnmm_pipeline(spec: ExperimentSpec) -> dict:
         if not 0 < spec.eps_rnmm < spec.epsilon:
             raise SpecValidationError("need 0 < eps_rnmm < eps_total")
         eps_dpsgd = spec.epsilon - spec.eps_rnmm
-    problem, train, test = _build_problem(spec)
+    problem, test = _build_problem(spec)
     profile = build_profile(problem)
     clamp = spec.rnmm_clamp if spec.rnmm_clamp is not None else percentile(profile, 99.9)
     if not clamp > 0:
@@ -299,7 +259,7 @@ def cmd_rnmm_pipeline(spec: ExperimentSpec) -> dict:
 
     run_spec = replace(spec, epsilon=eps_dpsgd)
     (_, metric_with, _), (_, metric_without, _) = _sweep(
-        problem, train, test, run_spec, [tau_selected, tau_oracle]
+        problem, test, run_spec, [tau_selected, tau_oracle]
     )
     report = {
         "eps_total": spec.epsilon,
@@ -337,10 +297,10 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
     budget = PrivacyBudget(spec.epsilon, spec.delta, spec.nu)
     k = spec.moment_k
     # every size's schedule and noise first, so a size that cannot be run
-    # fails before the reference oracle or any DP-SGD run of another size
+    # fails before any DP-SGD run of another size
     cases = []
     for n in spec.n_list:
-        problem, train, _ = _build_problem(replace(spec, n=n, synthetic="heavy"), n)
+        problem, _ = _build_problem(replace(spec, n=n, synthetic="heavy"), n)
         phi = compute_phi(n, problem.dim, budget)
         lip = problem.lipschitz
         with np.errstate(over="ignore"):
@@ -350,11 +310,10 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
         tau, eta = schedule_unconstrained_convex(
             g_emp, spec.gamma, spec.growth_c, spec.iterations, phi, k
         )
-        cases.append((n, phi, problem, train, tau, eta, _sigma_sq_for(spec, tau, problem)))
+        cases.append((n, phi, problem, tau, eta, _sigma_sq_for(spec, tau, problem)))
     rows = []
-    for n, phi, problem, train, tau, eta, sigma_sq in cases:
-        f_star = _reference(problem, train, spec)
-        (risks,) = _run_cells(problem, None, f_star, spec, [(tau, eta, sigma_sq)])
+    for n, phi, problem, tau, eta, sigma_sq in cases:
+        (risks,) = _run_cells(problem, None, _LOGISTIC_LOWER_BOUND, spec, [(tau, eta, sigma_sq)])
         rows.append([n, phi, k, float(np.median(risks))])
     write_csv(spec.out, ["n", "phi", "k", "median_risk"], rows)
     print(f"phi-scaling: {len(rows)} dataset sizes -> {spec.out}")

@@ -18,7 +18,6 @@ class OracleFailure(RuntimeError):
 
 
 DEFAULT_ETA_GRID = (0.01, 0.03, 0.1, 0.3, 1.0)
-DEFAULT_REF_ETAS = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0)
 
 
 @dataclass

@@ -92,12 +92,8 @@ class Problem:
     indices.
 
     ``lipschitz[i]`` upper-bounds the per-sample (sub)gradient norm;
-    ``per_sample_min[i]``, when present, is min_w f_i(w).
-
-    ``value_and_grad(w)`` returns ``(objective(w), full_gradient(w))`` in one
-    call; the reference oracle uses it. A family may supply
-    ``full_value_and_grad(w)``, a fused full-data pass giving these two values
-    to rounding (bitwise at some shapes); without one they are computed apart.
+    ``per_sample_min[i]``, when present, is min_w f_i(w). ``objective(w)`` and
+    ``full_gradient(w)`` are the mean loss and gradient over all n samples.
 
     A family may also supply ``clipped_sum(W, idx, taus)``: for a (K, dim)
     stack ``W`` and a (K,) vector of clip thresholds, the (K, dim) sums of
@@ -115,7 +111,6 @@ class Problem:
     batch_grad: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     loss: Callable[[np.ndarray, int], float] | None = None
     grad: Callable[[np.ndarray, int], np.ndarray] | None = None
-    full_value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
     clipped_sum: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -146,11 +141,6 @@ class Problem:
 
     def full_gradient(self, w: np.ndarray) -> np.ndarray:
         return self.grads_at(w).sum(axis=0) / self.n
-
-    def value_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        if self.full_value_and_grad is not None:
-            return self.full_value_and_grad(w)
-        return self.objective(w), self.full_gradient(w)
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +316,6 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
         # on a (d, B) Xb, which rounds differently past 8192 rows
         return np.einsum("mkb,bd,kb->kmd", P, Xb, scale).reshape(len(W), m * d)
 
-    XT = None  # made on the first full pass, which most runs never make
-
-    def full_value_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
-        # one class-major logits pass and one exp shared by the mean loss and
-        # the summed gradient. Only its (m, d) @ (d, n) gemm can round unlike
-        # the per-row one of batch_loss/batch_grad: the class max is exact,
-        # _class_sum adds in numpy's row-sum order, and einsum without
-        # optimize= adds the rows in order, where a BLAS (P - Y)^T X would not
-        nonlocal XT
-        if XT is None:
-            XT = np.ascontiguousarray(X.T)
-        logits = w.reshape(m, d) @ XT
-        z = logits - functools.reduce(np.maximum, logits)
-        e = np.exp(z)
-        s = _class_sum(e)
-        f = float((np.log(s) - z[y, np.arange(n)]).mean())
-        e /= s
-        e -= y == classes
-        return f, np.einsum("bm,bd->md", np.ascontiguousarray(e.T), X).ravel() / n
-
     return Problem(
         n=n,
         dim=m * d,
@@ -353,7 +323,6 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
         per_sample_min=np.zeros(n),
         batch_loss=batch_loss,
         batch_grad=batch_grad,
-        full_value_and_grad=full_value_and_grad,
         clipped_sum=clipped_sum,
     )
 

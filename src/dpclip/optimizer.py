@@ -278,11 +278,11 @@ def subgradient_descent(
 ) -> tuple[np.ndarray, float]:
     """Full-batch (sub)gradient descent; returns the best iterate."""
     w = np.asarray(w0, dtype=float)
-    f, g = problem.value_and_grad(w)
+    f, g = problem.objective(w), problem.full_gradient(w)
     best_w, best_f = w.copy(), f
     for _ in range(T):
         w = w - eta * g
-        f, g = problem.value_and_grad(w)
+        f, g = problem.objective(w), problem.full_gradient(w)
         if f < best_f:
             best_w, best_f = w.copy(), f
     return best_w, best_f

@@ -1,17 +1,12 @@
 """Tests for the experiment commands and CLI plumbing."""
 
-import copy
 import errno
-import functools
 import json
 import math
-import operator
 import os
-import platform
 import re
 import subprocess
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,12 +26,10 @@ from dpclip.harness.commands import (
 from dpclip.harness.spec import ExperimentSpec, SpecValidationError
 from dpclip.lipschitz import LipschitzProfile
 from dpclip.losses import (
-    Dataset,
     heavy_tailed_logistic_dataset,
     logistic_problem,
     planted_logistic_dataset,
 )
-from dpclip.optimizer import reference_minimum
 from dpclip.privacy import PrivacyBudget, compute_phi
 
 PROFILE = LipschitzProfile(g=np.array([1.0, 2.0, 4.0, 8.0]))
@@ -158,7 +151,7 @@ def test_sweep_constant_metric_has_zero_std(monkeypatch, tmp_path):
     assert mean_metric == pytest.approx(values[0], rel=1e-15)
 
 
-@pytest.mark.parametrize("metric", ["suboptimality", "accuracy"])
+@pytest.mark.parametrize("metric", ["suboptimality", "train_loss", "accuracy"])
 def test_best_eta_skips_nan_means(metric, monkeypatch, tmp_path, capsys):
     from dpclip.harness import commands
 
@@ -166,12 +159,18 @@ def test_best_eta_skips_nan_means(metric, monkeypatch, tmp_path, capsys):
         train, test = _split_csvs(tmp_path)
         data = dict(synthetic=None, csv=str(train), test_csv=str(test), batch=25.0)
         flags = ["--csv", str(train), "--test-csv", str(test), "--batch", "25"]
+    elif metric == "train_loss":
+        # CSV labels carry no certificate that inf f = 0: the metric is f itself
+        train, _ = _split_csvs(tmp_path)
+        data = dict(synthetic=None, csv=str(train), batch=25.0)
+        flags = ["--csv", str(train), "--batch", "25"]
     else:
         data = {}
         flags = ["--synthetic", "planted", "--n", "60", "--dim", "3", "--batch", "10"]
     # calls run eta-major over two seeds, so the means are NaN, 0.5, 0.25, 0.5,
-    # 0.25 and NaN: a suboptimality takes the first lowest, an accuracy the
-    # first highest, and argmin or argmax alone would take the leading NaN
+    # 0.25 and NaN: a suboptimality or training loss takes the first lowest,
+    # an accuracy the first highest, and argmin or argmax alone would take the
+    # leading NaN
     values = iter([math.nan, math.nan, 0.0, 1.0, 0.5, 0.0, 1.0, 0.0, 0.0, 0.5, math.nan, 0.0])
     monkeypatch.setattr(commands, "_metric_value", lambda *args: next(values))
     out = tmp_path / "sweep.csv"
@@ -181,8 +180,9 @@ def test_best_eta_skips_nan_means(metric, monkeypatch, tmp_path, capsys):
     )
     report = cmd_sweep_clip(spec)
     assert report.metric_kind == metric
+    assert capsys.readouterr().out.endswith(f"({metric})\n")
     _, _, eta_best, mean_best, std_best = report.rows[0]
-    if metric == "suboptimality":
+    if metric != "accuracy":
         assert (eta_best, mean_best, std_best) == (1.0, 0.25, 0.25)
     else:
         assert (eta_best, mean_best, std_best) == (0.3, 0.5, 0.5)
@@ -449,10 +449,6 @@ def test_sweep_no_noise_inf_matches_plain_sgd_oracle(tmp_path):
         spec.n, spec.dim, spec.classes, rng, spec.norm_low, spec.norm_high
     ).with_bias()
     prob = logistic_problem(ds, spec.classes)
-    _, f_star = reference_minimum(
-        prob, np.zeros(prob.dim),
-        [0.01, 0.03, 0.1, 0.3, 1.0, 3.0], 10 * spec.iterations,
-    )
     run_rng = np.random.default_rng(0)
     t_hat = int(run_rng.integers(spec.iterations))
     w = np.zeros(prob.dim)
@@ -464,8 +460,32 @@ def test_sweep_no_noise_inf_matches_plain_sgd_oracle(tmp_path):
         idx = np.flatnonzero(mask)
         grads = prob.grads_at(w, idx)
         w = w - 0.3 * (grads.sum(axis=0) / spec.batch)
-    oracle = prob.objective(w_priv) - f_star
+    # planted labels are separable, so inf f = 0 and the suboptimality is f
+    oracle = prob.objective(w_priv)
     assert report.rows[0][3] == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::dpclip.privacy.PrivacyRegimeWarning")
+@pytest.mark.parametrize(
+    "command, kw",
+    [
+        ("sweep-clip", dict(clip_candidates=("p0", "p100"))),
+        ("rnmm-pipeline", dict(eps_rnmm=1.0)),
+        ("phi-scaling", dict(synthetic="heavy", n_list=(150, 600), dim=3, classes=2,
+                             iterations=30, batch=15.0, append_bias=False)),
+    ],
+    ids=["sweep-clip", "rnmm-pipeline", "phi-scaling"],
+)
+def test_synthetic_runs_call_no_oracle_and_leave_no_cache(
+    monkeypatch, tmp_path, private_cache_home, command, kw
+):
+    # synthetic runs are scored against the certified bound inf f = 0: no
+    # reference oracle runs, and nothing is read from or written to the cache
+    _forbid_work(monkeypatch, ("reference_minimum",))
+    out = tmp_path / "out.csv"
+    COMMANDS[command](_tiny_spec(command, out, **kw))
+    assert out.exists()
+    assert not private_cache_home.exists()
 
 
 def test_sweep_shares_draws_and_writes_the_bytes_of_one_run_per_call(monkeypatch, tmp_path):
@@ -930,8 +950,7 @@ def test_benchmark_hooks_reach_their_layers(tmp_path):
         with np.load(spans) as trace:
             called |= set(trace["names"][np.unique(trace["name"])])
     assert {"optimizer.run_dp_sgd", "optimizer.dp_sgd_step", "optimizer.poisson_sample",
-            "clipping.clip_rows", "privacy.gaussian_noise", "losses.grads_at",
-            "optimizer.reference_minimum"} <= called
+            "clipping.clip_rows", "privacy.gaussian_noise", "losses.grads_at"} <= called
 
 
 @pytest.mark.parametrize(
@@ -954,258 +973,3 @@ def test_cli_rejects_non_finite_input_before_running(tmp_path, capsys, bad_row, 
         err = capsys.readouterr().err
         assert all(cause in err for cause in causes), err
         assert not out.exists()
-
-
-# ---------------------------------------------------------------------------
-# The reference oracle's cache
-# ---------------------------------------------------------------------------
-
-
-def _oracle_entries(home):
-    """Names of the f* entries, of any tag, in the dpclip cache under ``home``."""
-    return sorted(p.name for p in (home / "dpclip").glob("fstar*-*.npy"))
-
-
-def _counting_oracle(monkeypatch):
-    calls = []
-    oracle = commands.reference_minimum
-
-    def counted(*args):
-        calls.append(args)
-        return oracle(*args)
-
-    monkeypatch.setattr(commands, "reference_minimum", counted)
-    return calls
-
-
-@pytest.mark.filterwarnings("ignore::dpclip.privacy.PrivacyRegimeWarning")
-@pytest.mark.parametrize(
-    "command, kw, entries",
-    [
-        ("sweep-clip", dict(clip_candidates=("p0", "p100")), 1),
-        ("phi-scaling", dict(synthetic="heavy", n_list=(150, 600), dim=3, classes=2,
-                             iterations=30, batch=15.0, append_bias=False), 2),
-        ("rnmm-pipeline", dict(eps_rnmm=1.0), 1),
-    ],
-    ids=["sweep-clip", "phi-scaling", "rnmm-pipeline"],
-)
-def test_oracle_cache_warm_run_writes_the_cold_bytes(
-    monkeypatch, tmp_path, private_cache_home, command, kw, entries
-):
-    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
-    COMMANDS[command](_tiny_spec(command, cold, **kw))
-    assert len(_oracle_entries(private_cache_home)) == entries  # one per problem
-    _forbid_work(monkeypatch, ("reference_minimum",))
-    COMMANDS[command](_tiny_spec(command, warm, **kw))
-    assert warm.read_bytes() == cold.read_bytes()
-
-
-def _one_ulp_up(train):
-    features = train.features.copy()
-    features[7, 1] = np.nextafter(features[7, 1], np.inf)
-    return Dataset(features, train.labels, train.bias_appended)
-
-
-def _flip_a_label(train):
-    labels = train.labels.copy()
-    labels[7] = (labels[7] + 1) % 3
-    return Dataset(train.features, labels, train.bias_appended)
-
-
-def _other_build(*path):
-    """np.show_config with the entry at ``path`` of its dicts changed."""
-    show_config = np.show_config
-
-    def other(mode):
-        build = copy.deepcopy(show_config(mode=mode))
-        *parents, leaf = path
-        node = functools.reduce(operator.getitem, parents, build)
-        node[leaf] = ["other"]
-        return build
-
-    return other
-
-
-def _patched(monkeypatch, target, name, value, case):
-    monkeypatch.setattr(target, name, value)
-    return case
-
-
-# each maps (monkeypatch, train, classes, spec) to a changed (train, classes, spec)
-_KEY_PART_CHANGES = {
-    "one-ulp-feature": lambda mp, train, m, spec: (_one_ulp_up(train), m, spec),
-    "flipped-label": lambda mp, train, m, spec: (_flip_a_label(train), m, spec),
-    "iterations": lambda mp, train, m, spec: (train, m, replace(spec, iterations=41)),
-    "classes": lambda mp, train, m, spec: (train, m + 1, spec),
-    "no-bias-column": lambda mp, train, m, spec: (
-        Dataset(train.features[:, :-1], train.labels), m, spec
-    ),
-    "ref-etas": lambda mp, *case: _patched(
-        mp, commands, "DEFAULT_REF_ETAS", (0.1, 0.3, 1.0), case
-    ),
-    "numpy-version": lambda mp, *case: _patched(mp, np, "__version__", "0.0.0", case),
-    "machine": lambda mp, *case: _patched(mp, platform, "machine", lambda: "other", case),
-    "blas-build": lambda mp, *case: _patched(
-        mp, np, "show_config", _other_build("Build Dependencies", "blas", "version"), case
-    ),
-    "simd-extensions": lambda mp, *case: _patched(
-        mp, np, "show_config", _other_build("SIMD Extensions", "found"), case
-    ),
-    "tag": lambda mp, *case: _patched(mp, commands, "FSTAR_TAG", "fstar0", case),
-}
-
-
-@pytest.mark.parametrize("part", list(_KEY_PART_CHANGES))
-def test_oracle_cache_misses_on_each_key_part(monkeypatch, private_cache_home, part):
-    spec = _tiny_spec("sweep-clip", "x.csv")
-    rng = np.random.default_rng(5)
-    train = planted_logistic_dataset(120, 4, 3, rng, 0.5, 4.0).with_bias()
-    calls = _counting_oracle(monkeypatch)
-    f_star = commands._reference(logistic_problem(train, 3), train, spec)
-    assert commands._reference(logistic_problem(train, 3), train, spec) == f_star
-    assert len(calls) == 1
-    changed, m, changed_spec = _KEY_PART_CHANGES[part](monkeypatch, train, 3, spec)
-    commands._reference(logistic_problem(changed, m), changed, changed_spec)
-    assert len(calls) == 2
-    assert len(_oracle_entries(private_cache_home)) == 2
-
-
-def test_oracle_cache_misses_on_each_dataset_flag(monkeypatch, tmp_path, private_cache_home):
-    calls = _counting_oracle(monkeypatch)
-    argv = ["sweep-clip", "--synthetic", "planted", "--n", "60", "--dim", "3",
-            "--iterations", "10", "--batch", "10", "--eta-grid", "0.3",
-            "--clip-candidates", "p0", "--no-noise", "--out", str(tmp_path / "x.csv")]
-    for flags in ([], [], ["--iterations", "11"], ["--classes", "4"], ["--append-bias"]):
-        assert main(argv + flags) == 0
-    assert len(calls) == 4
-    assert len(_oracle_entries(private_cache_home)) == 4
-
-
-# flags that change the private runs but not the data or the oracle's budget
-_RUN_FLAG_CHANGES = [
-    [], ["--epsilon", "4"], ["--delta", "1e-6"], ["--seeds", "4,5,6"],
-    ["--eta-grid", "0.03,1"], ["--clip-candidates", "p0,p50,p100"], ["--batch", "15"],
-    ["--no-noise"],
-]
-
-
-@pytest.mark.filterwarnings("ignore::dpclip.privacy.PrivacyRegimeWarning")
-@pytest.mark.parametrize("data", ["synthetic", "csv"])
-def test_oracle_cache_is_hit_across_privacy_seed_and_grid_flags(
-    monkeypatch, tmp_path, private_cache_home, data
-):
-    # the traffic the cache is for: one dataset swept over epsilon, seeds,
-    # step sizes and clip candidates runs the oracle once, and each run
-    # writes the bytes it writes from an empty cache
-    if data == "synthetic":
-        source = ["--synthetic", "planted", "--n", "60", "--dim", "3", "--append-bias"]
-    else:
-        source = ["--csv", str(_split_csvs(tmp_path)[0])]
-    base = ["sweep-clip", *source, "--iterations", "10", "--batch", "10", "--eta-grid", "0.3",
-            "--clip-candidates", "p0", "--seeds", "0,1"]
-    calls = _counting_oracle(monkeypatch)
-    for i, flags in enumerate(_RUN_FLAG_CHANGES):
-        warm, cold = tmp_path / f"warm{i}.csv", tmp_path / f"cold{i}.csv"
-        assert main([*base, *flags, "--out", str(warm)]) == 0
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"empty{i}"))
-        assert main([*base, *flags, "--out", str(cold)]) == 0
-        monkeypatch.setenv("XDG_CACHE_HOME", str(private_cache_home))
-        assert warm.read_bytes() == cold.read_bytes()
-    assert len(calls) == 1 + len(_RUN_FLAG_CHANGES)  # the first run, then each empty cache
-    assert len(_oracle_entries(private_cache_home)) == 1
-
-
-def test_oracle_cache_is_off_where_numpy_cannot_describe_its_build(
-    monkeypatch, private_cache_home
-):
-    def show_config():  # the signature before numpy 1.26, which printed
-        raise AssertionError("not called without mode")
-
-    monkeypatch.setattr(np, "show_config", show_config)
-    calls = _counting_oracle(monkeypatch)
-    train = planted_logistic_dataset(40, 3, 2, np.random.default_rng(2), 0.5, 2.0)
-    spec = _tiny_spec("sweep-clip", "x.csv")
-    f_stars = {commands._reference(logistic_problem(train, 2), train, spec) for _ in range(2)}
-    assert len(f_stars) == 1 and len(calls) == 2
-    assert not (private_cache_home / "dpclip").exists()
-
-
-@pytest.mark.filterwarnings("ignore::dpclip.privacy.PrivacyRegimeWarning")
-@pytest.mark.parametrize(
-    "spoil",
-    [
-        lambda entry: entry.write_bytes(entry.read_bytes()[:-4]),
-        lambda entry: np.save(entry, np.array([0.5, 0.5])),
-        lambda entry: np.save(entry, np.array(0.5, dtype=np.float32)),
-        lambda entry: np.save(entry, np.array(math.nan)),
-    ],
-    ids=["truncated", "two-values", "float32", "nan"],
-)
-def test_oracle_cache_bad_entry_is_computed_again_and_rewritten(
-    monkeypatch, tmp_path, private_cache_home, spoil
-):
-    spec = _tiny_spec("sweep-clip", tmp_path / "first.csv", clip_candidates=("p0",))
-    cmd_sweep_clip(spec)
-    (name,) = _oracle_entries(private_cache_home)
-    entry = private_cache_home / "dpclip" / name
-    good = entry.read_bytes()
-    spoil(entry)
-    calls = _counting_oracle(monkeypatch)
-    cmd_sweep_clip(replace(spec, out=str(tmp_path / "again.csv")))
-    assert len(calls) == 1
-    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
-    assert _oracle_entries(private_cache_home) == [name] and entry.read_bytes() == good
-
-
-@pytest.mark.parametrize("f_star", [math.inf, math.nan])
-def test_oracle_cache_keeps_no_non_finite_f_star(monkeypatch, private_cache_home, f_star):
-    calls = []
-
-    def oracle(problem, w0, etas, T):
-        calls.append(T)
-        return w0, f_star
-
-    monkeypatch.setattr(commands, "reference_minimum", oracle)
-    train = planted_logistic_dataset(40, 3, 2, np.random.default_rng(2), 0.5, 2.0)
-    spec = _tiny_spec("sweep-clip", "x.csv")
-    for _ in range(2):
-        got = commands._reference(logistic_problem(train, 2), train, spec)
-        assert got == f_star or (math.isnan(got) and math.isnan(f_star))
-    assert len(calls) == 2
-    assert not (private_cache_home / "dpclip").exists()
-
-
-def _write_half_then_fail(fh, array, **kwargs):
-    fh.write(b"\x93NUMPY")
-    raise OSError(errno.ENOSPC, "No space left on device")
-
-
-@pytest.mark.parametrize("case", ["not-a-directory", "disk-full"])
-def test_oracle_cache_unwritable_just_computes(monkeypatch, tmp_path, private_cache_home, case):
-    if case == "not-a-directory":
-        blocker = tmp_path / "blocker"
-        blocker.write_text("", encoding="utf-8")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-    else:
-        monkeypatch.setattr(np.lib.format, "write_array", _write_half_then_fail)
-    calls = _counting_oracle(monkeypatch)
-    outs = [tmp_path / "first.csv", tmp_path / "again.csv"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for out in outs:
-            cmd_sweep_clip(_tiny_spec("sweep-clip", out, clip_candidates=("p0",), no_noise=True))
-    assert len(calls) == 2
-    assert outs[0].read_bytes() == outs[1].read_bytes()
-    left = [p.name for p in tmp_path.rglob("*") if p.suffix in (".npy", ".tmp")]
-    assert left == []  # no entry, no temporary file
-
-
-def test_oracle_cache_sweep_with_a_test_split_writes_no_entry(tmp_path, private_cache_home):
-    train_path, test_path = _split_csvs(tmp_path)
-    spec = _tiny_spec(
-        "sweep-clip", tmp_path / "acc.csv", synthetic=None, csv=str(train_path),
-        test_csv=str(test_path), clip_candidates=("p0",), batch=25.0,
-    )
-    cmd_sweep_clip(spec)
-    names = sorted(p.name for p in (private_cache_home / "dpclip").iterdir())
-    assert len(names) == 2 and all(name.startswith("loadtxt1-") for name in names)

@@ -505,24 +505,6 @@ def test_logistic_row_norms_are_bitwise_linalg_norm_across_blocks(order):
     )
 
 
-@pytest.mark.parametrize("n", [1, 7, 2000, 8193])
-@pytest.mark.parametrize("bias", [False, True], ids=["raw", "bias"])
-def test_logistic_value_and_grad_is_bitwise_two_call(n, bias):
-    # the class-major pass reduces over classes, so its order depends on m:
-    # 2 and 3 are the c12 and c08 class counts, 9 takes _class_sum's numpy branch
-    rng = np.random.default_rng(n)
-    features = rng.normal(size=(n, 5)) * rng.pareto(2.0, size=(n, 1))
-    for m in (2, 3, 4, 9):
-        ds = Dataset(np.asfortranarray(features), rng.integers(0, m, n))
-        prob = logistic_problem(ds.with_bias() if bias else ds, m)
-        assert prob.full_value_and_grad is not None
-        for scale in (0.0, 0.3, 3.0, 30.0):
-            w = scale * rng.normal(size=prob.dim)
-            f, g = prob.value_and_grad(w)
-            assert f == prob.objective(w)
-            assert np.array_equal(g, prob.full_gradient(w))
-
-
 def test_class_sum_is_numpy_row_sum_bitwise():
     rng = np.random.default_rng(43)
     for m in [*range(2, 26), 127, 128, 129, 136, 300]:
@@ -621,28 +603,6 @@ def test_stacked_grads_are_each_iterates_rows_bitwise():
         assert stacked.shape == (len(W) * len(idx), prob.dim)
         assert _same_bits(stacked, np.concatenate([prob.grads_at(w, idx) for w in W]))
         assert prob.grads_at(W, []).shape == (0, prob.dim)
-
-
-def test_value_and_grad_fallback_families():
-    rng = np.random.default_rng(29)
-    anchors = rng.normal(size=(9, 3))
-    anchors[4] = 0.0  # a kink at w = 0
-    median = geometric_median_problem(anchors)
-
-    def median_loss(w, i):
-        return float(median.batch_loss(w, np.array([i]))[0])
-
-    def median_grad(w, i):
-        return median.grads_at(w, [i])[0]
-
-    lifted = Problem(n=9, dim=3, loss=median_loss, grad=median_grad, lipschitz=np.ones(9))
-    for prob in (median, hard_instance_problem(rng.normal(size=(11, 3))), lifted):
-        assert prob.full_value_and_grad is None
-        for scale in (0.0, 0.5, 4.0):
-            w = scale * rng.normal(size=prob.dim)
-            f, g = prob.value_and_grad(w)
-            assert f == prob.objective(w)
-            assert np.array_equal(g, prob.full_gradient(w))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from dpclip.harness.cli import main
-from dpclip.harness.spec import DEFAULT_REF_ETAS
 from dpclip.losses import geometric_median_problem, logistic_problem, planted_logistic_dataset
 from dpclip.optimizer import DpSgdConfig, reference_minimum, run_dp_sgd
 from dpclip.parallel import _shares, fork_map
@@ -152,12 +151,12 @@ def test_run_dp_sgd_list_is_bitwise_the_same_on_one_and_two_cpus(monkeypatch, fa
 
 def test_reference_minimum_is_bitwise_the_same_on_one_and_two_cpus(monkeypatch):
     prob = _problems()["logistic"]
-    w0 = np.zeros(prob.dim)
+    w0, etas = np.zeros(prob.dim), [0.01, 0.03, 0.1, 0.3, 1.0, 3.0]
     _cpus(monkeypatch, 1)
-    serial_w, serial_f = reference_minimum(prob, w0, list(DEFAULT_REF_ETAS), 60)
+    serial_w, serial_f = reference_minimum(prob, w0, etas, 60)
     _cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
-    forked_w, forked_f = reference_minimum(prob, w0, list(DEFAULT_REF_ETAS), 60)
+    forked_w, forked_f = reference_minimum(prob, w0, etas, 60)
     assert forks
     assert forked_f == serial_f
     assert np.array_equal(forked_w, serial_w)
