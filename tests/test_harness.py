@@ -470,21 +470,24 @@ def test_sweep_no_noise_inf_matches_plain_sgd_oracle(tmp_path):
     "command, kw",
     [
         ("sweep-clip", dict(clip_candidates=("p0", "p100"))),
-        ("rnmm-pipeline", dict(eps_rnmm=1.0)),
         ("phi-scaling", dict(synthetic="heavy", n_list=(150, 600), dim=3, classes=2,
                              iterations=30, batch=15.0, append_bias=False)),
+        ("rnmm-pipeline", dict(eps_rnmm=1.0)),
     ],
-    ids=["sweep-clip", "rnmm-pipeline", "phi-scaling"],
+    ids=["sweep-clip", "phi-scaling", "rnmm-pipeline"],
 )
-def test_synthetic_runs_call_no_oracle_and_leave_no_cache(
+def test_oracle_cache_warm_run_writes_the_cold_bytes(
     monkeypatch, tmp_path, private_cache_home, command, kw
 ):
     # synthetic runs are scored against the certified bound inf f = 0: no
-    # reference oracle runs, and nothing is read from or written to the cache
+    # reference oracle runs, nothing is read from or written to the cache,
+    # and a second run writes the first run's bytes
     _forbid_work(monkeypatch, ("reference_minimum",))
-    out = tmp_path / "out.csv"
-    COMMANDS[command](_tiny_spec(command, out, **kw))
-    assert out.exists()
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    COMMANDS[command](_tiny_spec(command, cold, **kw))
+    assert not private_cache_home.exists()
+    COMMANDS[command](_tiny_spec(command, warm, **kw))
+    assert warm.read_bytes() == cold.read_bytes()
     assert not private_cache_home.exists()
 
 
@@ -973,3 +976,56 @@ def test_cli_rejects_non_finite_input_before_running(tmp_path, capsys, bad_row, 
         err = capsys.readouterr().err
         assert all(cause in err for cause in causes), err
         assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# No reference-oracle entry in the cache
+# ---------------------------------------------------------------------------
+
+
+# flags that change the private runs but not the data
+_RUN_FLAG_CHANGES = [
+    [], ["--epsilon", "4"], ["--delta", "1e-6"], ["--seeds", "4,5,6"],
+    ["--eta-grid", "0.03,1"], ["--clip-candidates", "p0,p50,p100"], ["--batch", "15"],
+    ["--no-noise"],
+]
+
+
+@pytest.mark.filterwarnings("ignore::dpclip.privacy.PrivacyRegimeWarning")
+@pytest.mark.parametrize("data", ["synthetic", "csv"])
+def test_oracle_cache_is_hit_across_privacy_seed_and_grid_flags(
+    monkeypatch, tmp_path, private_cache_home, data
+):
+    # one dataset swept over epsilon, seeds, step sizes and clip candidates
+    # runs no oracle; each run writes the bytes it writes from an empty
+    # cache, and the CSV's parse is the only entry the sweep leaves
+    if data == "synthetic":
+        source = ["--synthetic", "planted", "--n", "60", "--dim", "3", "--append-bias"]
+    else:
+        source = ["--csv", str(_split_csvs(tmp_path)[0])]
+    base = ["sweep-clip", *source, "--iterations", "10", "--batch", "10", "--eta-grid", "0.3",
+            "--clip-candidates", "p0", "--seeds", "0,1"]
+    _forbid_work(monkeypatch, ("reference_minimum",))
+    for i, flags in enumerate(_RUN_FLAG_CHANGES):
+        warm, cold = tmp_path / f"warm{i}.csv", tmp_path / f"cold{i}.csv"
+        assert main([*base, *flags, "--out", str(warm)]) == 0
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"empty{i}"))
+        assert main([*base, *flags, "--out", str(cold)]) == 0
+        monkeypatch.setenv("XDG_CACHE_HOME", str(private_cache_home))
+        assert warm.read_bytes() == cold.read_bytes()
+    if data == "synthetic":
+        assert not private_cache_home.exists()
+    else:
+        (name,) = (p.name for p in (private_cache_home / "dpclip").iterdir())
+        assert name.startswith("loadtxt1-")
+
+
+def test_oracle_cache_sweep_with_a_test_split_writes_no_entry(tmp_path, private_cache_home):
+    train_path, test_path = _split_csvs(tmp_path)
+    spec = _tiny_spec(
+        "sweep-clip", tmp_path / "acc.csv", synthetic=None, csv=str(train_path),
+        test_csv=str(test_path), clip_candidates=("p0",), batch=25.0,
+    )
+    cmd_sweep_clip(spec)
+    names = sorted(p.name for p in (private_cache_home / "dpclip").iterdir())
+    assert len(names) == 2 and all(name.startswith("loadtxt1-") for name in names)
