@@ -476,7 +476,7 @@ def test_sweep_no_noise_inf_matches_plain_sgd_oracle(tmp_path):
     ],
     ids=["sweep-clip", "phi-scaling", "rnmm-pipeline"],
 )
-def test_oracle_cache_warm_run_writes_the_cold_bytes(
+def test_synthetic_rerun_writes_the_same_bytes_and_no_cache_entry(
     monkeypatch, tmp_path, private_cache_home, command, kw
 ):
     # synthetic runs are scored against the certified bound inf f = 0: no
@@ -993,7 +993,7 @@ _RUN_FLAG_CHANGES = [
 
 @pytest.mark.filterwarnings("ignore::dpclip.privacy.PrivacyRegimeWarning")
 @pytest.mark.parametrize("data", ["synthetic", "csv"])
-def test_oracle_cache_is_hit_across_privacy_seed_and_grid_flags(
+def test_flag_changes_write_the_empty_cache_bytes_and_keep_one_csv_entry(
     monkeypatch, tmp_path, private_cache_home, data
 ):
     # one dataset swept over epsilon, seeds, step sizes and clip candidates
@@ -1020,7 +1020,7 @@ def test_oracle_cache_is_hit_across_privacy_seed_and_grid_flags(
         assert name.startswith("loadtxt1-")
 
 
-def test_oracle_cache_sweep_with_a_test_split_writes_no_entry(tmp_path, private_cache_home):
+def test_sweep_with_a_test_split_caches_only_its_two_parses(tmp_path, private_cache_home):
     train_path, test_path = _split_csvs(tmp_path)
     spec = _tiny_spec(
         "sweep-clip", tmp_path / "acc.csv", synthetic=None, csv=str(train_path),

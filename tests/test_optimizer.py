@@ -88,6 +88,115 @@ def test_poisson_sample_mean_batch():
     assert abs(np.mean(sizes) - b) <= tol
 
 
+def _gap_replay(n, b, rng):
+    # the geometric-gap recipe one gap at a time: each index is the last
+    # one plus a Geometric(b/n) gap, drawn from chunks of the sampler's size
+    chunk = int(b + 4.0 * math.sqrt(b)) + 16
+    out, last = [], -1
+    while last < n:
+        for gap in rng.geometric(b / n, size=chunk):
+            last += min(int(gap), n + 1)
+            if last < n:
+                out.append(last)
+    return np.array(out, dtype=np.int64)
+
+
+def _bernoulli_replay(n, b, rng):
+    return np.flatnonzero(rng.random(n) < b / n)
+
+
+@pytest.mark.parametrize(
+    "n, b, replay, pin",
+    [
+        (2000, 100.0, _bernoulli_replay, (2003, 2_047_476, [3, 40, 47, 53])),
+        (100_000, 500.0, _gap_replay, (10_100, 502_508_183, [45, 153, 377, 387])),
+    ],
+    ids=["bernoulli-2000-100", "gaps-1e5-500"],
+)
+def test_poisson_sample_stream_pin(n, b, replay, pin):
+    # c08's shape keeps the one-uniform-per-index stream; large-n's shape
+    # draws geometric gaps. Both equal their recipe bit for bit, draws
+    # included, and 20 batches at seed 11 keep their recorded rows, count
+    # and index sum on every SIMD dispatch numpy makes
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    batches = [poisson_sample(n, b, rng) for _ in range(20)]
+    for batch in batches:
+        assert batch.dtype == np.int64 and np.array_equal(batch, replay(n, b, ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    rows = np.concatenate(batches)
+    assert (rows.size, int(rows.sum()), batches[0][:4].tolist()) == pin
+
+
+@pytest.mark.parametrize(
+    "b, n_gaps", [(100.0, 9984), (500.0, 38_720), (10.0, 2432)], ids=["b100", "b500", "b10"]
+)
+def test_poisson_sample_switches_to_gaps_at_64_chunks(b, n_gaps):
+    # n_gaps = 64 * chunk: one row below it stays on the Bernoulli path
+    assert n_gaps == 64 * (int(b + 4.0 * math.sqrt(b)) + 16)
+    for n, replay in ((n_gaps - 1, _bernoulli_replay), (n_gaps, _gap_replay)):
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        assert np.array_equal(poisson_sample(n, b, rng), replay(n, b, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_poisson_sample_gaps_have_the_bernoulli_distribution():
+    # 5000 batches at n = 1e5, b = 500, on the gap path: each index is in a
+    # batch independently with probability q
+    n, b, draws = 100_000, 500.0, 5000
+    q = b / n
+    rng = np.random.default_rng(2024)
+    batches = [poisson_sample(n, b, rng) for _ in range(draws)]
+    for batch in batches:
+        assert np.all(np.diff(batch) > 0)
+        assert batch.size == 0 or (batch[0] >= 0 and batch[-1] < n)
+    sizes = np.array([batch.size for batch in batches])
+    var = b * (1 - q)
+    assert abs(sizes.mean() - b) <= 3.0 * math.sqrt(var / draws)
+    # the sample variance's relative standard error is sqrt(2 / draws) = 0.02
+    assert abs(sizes.var(ddof=1) / var - 1.0) <= 0.1
+    # per-index inclusion in 100 buckets of 1000 indices: each count is a sum
+    # of independent Bernoulli(q) draws, so the statistic is chi^2 with 100
+    # degrees of freedom; its 1e-6 upper quantile is about 182
+    counts = np.bincount(np.concatenate(batches) // 1000, minlength=100)
+    expected = draws * 1000 * q
+    chi2 = float(np.sum((counts - expected) ** 2) / (expected * (1 - q)))
+    assert chi2 < 182.0
+
+
+def test_poisson_sample_gap_edges():
+    n = 100_000
+    rng = np.random.default_rng(0)
+    # b / n underflows to 0.0, which numpy's geometric rejects; the batch is
+    # empty, as on the Bernoulli path
+    assert 1e-320 / n == 0.0
+    assert poisson_sample(n, 1e-320, rng).size == 0
+    # at q = 1e-300 numpy returns INT64_MAX gaps, whose sum would wrap
+    # around; the cap at n + 1 keeps every index past n
+    assert rng.geometric(1e-300) == np.iinfo(np.int64).max
+    for _ in range(3):
+        batch = poisson_sample(n, 1e-300 * n, rng)
+        assert batch.dtype == np.int64 and batch.size == 0
+
+
+class _UnitGaps:
+    # a generator whose every gap is 1, so each chunk ends before n
+    def __init__(self):
+        self.calls = 0
+
+    def geometric(self, p, size):
+        self.calls += 1
+        return np.ones(size, dtype=np.int64)
+
+
+def test_poisson_sample_draws_more_chunks_when_a_batch_outruns_one():
+    # b = 10 draws chunks of 38 gaps; 64 * 38 + 5 unit gaps take 65 chunks,
+    # and every chunk continues where the last one ended
+    n = 64 * 38 + 5
+    rng = _UnitGaps()
+    assert np.array_equal(poisson_sample(n, 10.0, rng), np.arange(n))
+    assert rng.calls == 65
+
+
 def test_step_hand_case():
     # single anchor at 1, subgradient at w=0 is -1, so w' = 0 + 0.5
     prob = geometric_median_problem(np.array([[1.0]]))
