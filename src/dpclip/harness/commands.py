@@ -91,21 +91,15 @@ def _build_problem(spec: ExperimentSpec, *key: int) -> tuple[Problem, Dataset | 
     return problem, test
 
 
-def _metric_value(
-    problem: Problem, test: Dataset | None, f_star: float, w: np.ndarray
-) -> float:
-    """Held-out accuracy when a test split is given, else f(w) - f_star."""
+def _metric_value(problem: Problem, test: Dataset | None, w: np.ndarray) -> float:
+    """Held-out accuracy when a test split is given, else f(w). Cross-entropy
+    is nonnegative and the generators' planted labels are separable, so on
+    their data inf f = 0 and f(w) is the exact suboptimality; on CSV data it
+    is the training loss."""
     if test is not None:
         scores = test.features @ w.reshape(-1, test.dim).T
         return float(np.mean(np.argmax(scores, axis=1) == test.labels))
-    return problem.objective(w) - f_star
-
-
-# Cross-entropy is nonnegative, so 0 bounds every logistic objective from
-# below. The generators' planted labels follow a noiseless linear rule, so on
-# their data inf f = 0 and f(w) - 0 is the exact suboptimality; on CSV data it
-# is the training loss.
-_LOGISTIC_LOWER_BOUND = 0.0
+    return problem.objective(w)
 
 
 def _sigma_sq_for(spec: ExperimentSpec, tau: float, problem: Problem) -> float:
@@ -120,7 +114,7 @@ def _sigma_sq_for(spec: ExperimentSpec, tau: float, problem: Problem) -> float:
 
 
 def _run_cells(
-    problem: Problem, test: Dataset | None, f_star: float, spec: ExperimentSpec,
+    problem: Problem, test: Dataset | None, spec: ExperimentSpec,
     cells: list[tuple[float, float, float]],
 ) -> np.ndarray:
     """The (cell, seed) array of metrics: one DP-SGD run from the origin per
@@ -142,7 +136,7 @@ def _run_cells(
         for tau, eta, sigma_sq in cells
         for seed in spec.seeds
     ]
-    metrics = [_metric_value(problem, test, f_star, w) for w in run_dp_sgd(problem, configs)]
+    metrics = [_metric_value(problem, test, w) for w in run_dp_sgd(problem, configs)]
     return np.array(metrics).reshape(len(cells), len(spec.seeds))
 
 
@@ -178,7 +172,7 @@ def _sweep(
         for tau, sigma_sq in zip(taus, sigma_sqs)
         for eta in spec.eta_grid
     ]
-    metrics = _run_cells(problem, test, _LOGISTIC_LOWER_BOUND, spec, cells)
+    metrics = _run_cells(problem, test, spec, cells)
     return _best_over_eta(test, spec, taus, metrics.reshape(len(taus), len(spec.eta_grid), -1))
 
 
@@ -313,7 +307,7 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
         cases.append((n, phi, problem, tau, eta, _sigma_sq_for(spec, tau, problem)))
     rows = []
     for n, phi, problem, tau, eta, sigma_sq in cases:
-        (risks,) = _run_cells(problem, None, _LOGISTIC_LOWER_BOUND, spec, [(tau, eta, sigma_sq)])
+        (risks,) = _run_cells(problem, None, spec, [(tau, eta, sigma_sq)])
         rows.append([n, phi, k, float(np.median(risks))])
     write_csv(spec.out, ["n", "phi", "k", "median_risk"], rows)
     print(f"phi-scaling: {len(rows)} dataset sizes -> {spec.out}")
@@ -416,7 +410,7 @@ def cmd_lower_bound_demo(spec: ExperimentSpec) -> list[list]:
         g, spec.gamma, spec.growth_c, spec.iterations, phi, k
     )
     sigma_sq = _sigma_sq_for(spec, tau, problem)
-    (risks,) = _run_cells(problem, None, f_star, spec, [(tau, eta, sigma_sq)])
+    (risks,) = _run_cells(problem, None, spec, [(tau, eta, sigma_sq)]) - f_star
     rows = [[seed, risk, phi_scale, 0] for seed, risk in zip(spec.seeds, risks)]
     write_csv(spec.out, ["seed", "risk", "phi_power_scale", "degenerate"], rows)
     print(

@@ -8,7 +8,6 @@ Subgradients at kinks return the minimal-norm element.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -114,7 +113,13 @@ class Problem:
     clipped_sum: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.batch_loss is None:
+        batch = self.batch_loss is not None or self.batch_grad is not None
+        pair = ("batch_loss", "batch_grad") if batch else ("loss", "grad")
+        missing = " and ".join(name for name in pair if getattr(self, name) is None)
+        if missing:
+            need = "a Problem needs batch_loss and batch_grad, or loss and grad"
+            raise ValueError(f"{need}; {missing} missing")
+        if not batch:
             loss, grad, dim = self.loss, self.grad, self.dim
 
             def batch_loss(w, idx):
@@ -203,7 +208,7 @@ def _class_sum(rows: np.ndarray) -> np.ndarray:
     the rows of the row-major (..., m) array: left to right below 8 classes,
     as numpy does, and from 8 on by numpy itself, on a row-major copy."""
     if len(rows) < 8:
-        return functools.reduce(np.add, rows)
+        return rows.sum(axis=0)
     return np.ascontiguousarray(np.moveaxis(rows, 0, -1)).sum(axis=-1)
 
 
@@ -263,7 +268,7 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
         # class planes. The class max and sum then run plane by plane, in the
         # order of a row-wise max and sum
         Z = np.ascontiguousarray(np.moveaxis(Xb @ W.reshape(K, m, d).transpose(0, 2, 1), 2, 0))
-        Z -= functools.reduce(np.maximum, Z)
+        Z -= Z.max(axis=0)
         return Xb, Z
 
     def batch_loss(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -284,12 +289,7 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
     def batch_grad(W: np.ndarray, idx: np.ndarray) -> np.ndarray:
         Xb, P = coefficients(W, idx)
         K, B = P.shape[1:]
-        # one outer product per iterate: a single (K, B, m, d) einsum is
-        # slower at b = 500
-        out = np.empty((K, B, m, d))
-        for k in range(K):
-            np.einsum("mb,bd->bmd", P[:, k], Xb, out=out[k])
-        return out.reshape(K * B, m * d)
+        return np.einsum("mkb,bd->kbmd", P, Xb).reshape(K * B, m * d)
 
     # The norm row_norms gives a row and the bound ||P[:, k, b]|| ||x_b|| agree
     # to within (m d + 4) eps / 2 while no square underflows, since both add

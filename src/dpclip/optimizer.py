@@ -309,11 +309,10 @@ def subgradient_descent(
 ) -> tuple[np.ndarray, float]:
     """Full-batch (sub)gradient descent; returns the best iterate."""
     w = np.asarray(w0, dtype=float)
-    f, g = problem.objective(w), problem.full_gradient(w)
-    best_w, best_f = w.copy(), f
+    best_w, best_f = w.copy(), problem.objective(w)
     for _ in range(T):
-        w = w - eta * g
-        f, g = problem.objective(w), problem.full_gradient(w)
+        w = w - eta * problem.full_gradient(w)
+        f = problem.objective(w)
         if f < best_f:
             best_w, best_f = w.copy(), f
     return best_w, best_f
@@ -325,18 +324,14 @@ def reference_minimum(
     etas: list[float],
     T: int,
 ) -> tuple[np.ndarray, float]:
-    """Non-private baseline: best iterate over a step-size grid.
-
-    Used to estimate f* (and a minimizer) for risk reporting; run it with a
-    generous iteration budget relative to the private runs it calibrates.
-    The step sizes run through :func:`dpclip.parallel.fork_map`; the first
-    strictly lowest value, in the order of ``etas``, wins.
-    """
+    """Non-private baseline: the best :func:`subgradient_descent` iterate
+    over a step-size grid, run in this process; the first strictly lowest
+    value, in the order of ``etas``, wins. No command runs it."""
     if not etas:
         raise ValueError("etas must be nonempty")
-    runs = fork_map(lambda eta: subgradient_descent(problem, w0, eta, T), etas)
     best_w, best_f = None, math.inf
-    for w, f in runs:
+    for eta in etas:
+        w, f = subgradient_descent(problem, w0, eta, T)
         if f < best_f:
             best_w, best_f = w, f
     return best_w, best_f

@@ -30,6 +30,7 @@ from dpclip.losses import (
     logistic_problem,
     planted_logistic_dataset,
 )
+from dpclip.optimizer import run_dp_sgd
 from dpclip.privacy import PrivacyBudget, compute_phi
 
 PROFILE = LipschitzProfile(g=np.array([1.0, 2.0, 4.0, 8.0]))
@@ -756,6 +757,33 @@ def test_lower_bound_demo_runs_and_degenerate(tmp_path):
     assert all(r[1] == 0.0 for r in degenerate)
 
 
+@pytest.mark.filterwarnings("ignore::dpclip.privacy.PrivacyRegimeWarning")
+def test_lower_bound_demo_risks_are_the_objective_less_f_star_bitwise(monkeypatch, tmp_path):
+    # each risk is f(w) - f(v / ||v||), with w replayed from the configs the
+    # command passes to run_dp_sgd and v the planted direction
+    calls = []
+
+    def recording(problem, configs):
+        calls.append((problem, configs))
+        return run_dp_sgd(problem, configs)
+
+    monkeypatch.setattr(commands, "run_dp_sgd", recording)
+    spec = _tiny_spec(
+        "lower-bound-demo", tmp_path / "lb.csv", dim=4, n=200, qv_p=0.2, moment_k=2.0,
+        iterations=30, batch=20.0, synthetic=None, seeds=(0, 1, 2, 5),
+    )
+    rows = cmd_lower_bound_demo(spec)
+    ((problem, configs),) = calls
+    rng = np.random.default_rng([spec.master_seed, commands._TAG_QV])
+    v = np.zeros(spec.dim)
+    v[rng.permutation(spec.dim)[: spec.dim // 2]] = 1.0
+    f_star = problem.objective(v / np.linalg.norm(v))
+    assert f_star < 0.0
+    assert [row[0] for row in rows] == [c.seed for c in configs] == list(spec.seeds)
+    for row, w in zip(rows, run_dp_sgd(problem, configs)):
+        assert float(row[1]).hex() == (problem.objective(w) - f_star).hex()
+
+
 def test_cli_config_file_equivalent_to_flags(tmp_path):
     out_flags = tmp_path / "flags.csv"
     out_config = tmp_path / "config.csv"
@@ -979,7 +1007,7 @@ def test_cli_rejects_non_finite_input_before_running(tmp_path, capsys, bad_row, 
 
 
 # ---------------------------------------------------------------------------
-# No reference-oracle entry in the cache
+# Run flags and test splits leave only CSV parses in the cache
 # ---------------------------------------------------------------------------
 
 

@@ -484,6 +484,33 @@ def test_logistic_problem_batch_consistency():
     )
 
 
+@pytest.mark.parametrize(
+    "given, missing",
+    [
+        ((), "loss and grad"),
+        (("loss",), "grad"),
+        (("grad",), "loss"),
+        (("batch_loss",), "batch_grad"),
+        (("batch_grad",), "batch_loss"),
+        # a half batch pair is not completed from the scalar pair
+        (("batch_loss", "loss", "grad"), "batch_grad"),
+    ],
+)
+def test_problem_without_a_whole_function_pair_fails_at_construction(given, missing):
+    def f(*args):
+        raise AssertionError("no function is called at construction")
+
+    fields = {name: f for name in given}
+    with pytest.raises(ValueError) as err:
+        Problem(n=3, dim=2, lipschitz=np.ones(3), **fields)
+    assert str(err.value) == (
+        f"a Problem needs batch_loss and batch_grad, or loss and grad; {missing} missing"
+    )
+    # either whole pair builds
+    Problem(n=3, dim=2, lipschitz=np.ones(3), batch_loss=f, batch_grad=f)
+    Problem(n=3, dim=2, lipschitz=np.ones(3), loss=f, grad=f)
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_logistic_row_norms_are_bitwise_linalg_norm_across_blocks(order):
     # the row norms are taken block by block; n spans several blocks

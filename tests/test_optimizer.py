@@ -459,6 +459,18 @@ def test_subgradient_descent_bitwise_matches_two_call_loop():
             assert np.array_equal(best_w, ref_w)
 
 
+@pytest.mark.parametrize("T", [0, 1, 7])
+def test_subgradient_descent_computes_one_full_gradient_per_step(T):
+    prob = geometric_median_problem(np.random.default_rng(2).normal(size=(6, 3)))
+    calls = []
+    objective, full_gradient = prob.objective, prob.full_gradient
+    prob.objective = lambda w: calls.append("f") or objective(w)
+    prob.full_gradient = lambda w: calls.append("g") or full_gradient(w)
+    subgradient_descent(prob, np.ones(3), 0.1, T)
+    # f(w0), then per step the gradient at the iterate and f at the next one
+    assert calls == ["f"] + ["g", "f"] * T
+
+
 def test_noiseless_full_batch_matches_plain_gd_bitwise():
     rng = np.random.default_rng(6)
     for trial in range(5):

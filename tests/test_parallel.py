@@ -11,7 +11,7 @@ import pytest
 
 from dpclip.harness.cli import main
 from dpclip.losses import geometric_median_problem, logistic_problem, planted_logistic_dataset
-from dpclip.optimizer import DpSgdConfig, reference_minimum, run_dp_sgd
+from dpclip.optimizer import DpSgdConfig, run_dp_sgd
 from dpclip.parallel import _shares, fork_map
 
 
@@ -147,19 +147,6 @@ def test_run_dp_sgd_list_is_bitwise_the_same_on_one_and_two_cpus(monkeypatch, fa
     for a, b in zip(serial, forked):
         assert np.array_equal(a, b)
     _assert_no_child_left()
-
-
-def test_reference_minimum_is_bitwise_the_same_on_one_and_two_cpus(monkeypatch):
-    prob = _problems()["logistic"]
-    w0, etas = np.zeros(prob.dim), [0.01, 0.03, 0.1, 0.3, 1.0, 3.0]
-    _cpus(monkeypatch, 1)
-    serial_w, serial_f = reference_minimum(prob, w0, etas, 60)
-    _cpus(monkeypatch, 2)
-    forks = _count_forks(monkeypatch)
-    forked_w, forked_f = reference_minimum(prob, w0, etas, 60)
-    assert forks
-    assert forked_f == serial_f
-    assert np.array_equal(forked_w, serial_w)
 
 
 _SWEEP = ["sweep-clip", "--synthetic", "planted", "--n", "300", "--dim", "4",
