@@ -33,14 +33,12 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def clip_rows(rows: np.ndarray, c: float | np.ndarray) -> np.ndarray:
-    """Rescale each row, a vector along the last axis, to norm at most its
-    threshold; zero rows stay zero.
+    """Rescale each row, a vector along the last axis, by its
+    :func:`clip_scales` factor to norm at most its threshold.
 
     ``c`` broadcasts against ``rows.shape[:-1]``: one threshold for every
     row, one per row, or a (K, 1) column giving each block of a (K, B, dim)
-    stack its own. The scale is ``min(1, c / norm)``, so a row with norm at
-    most its threshold, a NaN norm or an infinite threshold is scaled by
-    exactly 1.0 and comes back bit-identical.
+    stack its own.
     """
     c = np.asarray(c, dtype=float)
     bad = ~(c > 0)
@@ -52,11 +50,15 @@ def clip_rows(rows: np.ndarray, c: float | np.ndarray) -> np.ndarray:
     except ValueError:
         shape = rows.shape[:-1]
         raise ValueError(f"need one clip threshold per row: {c.shape} for {shape}") from None
-    # a zero norm gives c / 0 = inf and an infinite one at tau = inf gives NaN;
-    # fmin takes 1.0 over both
+    return rows * clip_scales(rows, c)[..., None]
+
+
+def clip_scales(rows: np.ndarray, c: float | np.ndarray) -> np.ndarray:
+    """Each row's clip scale ``min(1, c / norm)``, c broadcast unchecked against
+    ``rows.shape[:-1]``; fmin takes 1.0 over c / 0 = inf and inf / inf = NaN,
+    so a zero, NaN or at-most-c norm, or c = inf, keeps the row's bits."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.fmin(1.0, c / row_norms(rows))
-    return rows * scale[..., None]
+        return np.fmin(1.0, c / row_norms(rows))
 
 
 def clip(z: np.ndarray, c: float) -> np.ndarray:

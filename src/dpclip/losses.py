@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .clipping import row_norms
+from .clipping import clip_scales
 
 
 @dataclass
@@ -308,9 +308,7 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
         if exact.any():
             k, b = np.nonzero(exact)
             rows = np.einsum("mr,rd->rmd", P[:, k, b], Xb[b]).reshape(k.size, m * d)
-            # the scale clip_rows gives these rows
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scale[k, b] = np.fmin(1.0, taus[k] / row_norms(rows))
+            scale[k, b] = clip_scales(rows, taus[k])
         # no optimize=: einsum forms fl(fl(p x) s) and adds over b in order,
         # as clip_rows(...).sum(axis=1) does, with no (K, B, m d) block; not
         # on a (d, B) Xb, which rounds differently past 8192 rows

@@ -20,13 +20,6 @@ TWO_ATOM = DiscreteVectorDistribution.from_atoms(
 )
 
 
-def test_clip_exact_cases():
-    assert np.allclose(clip(np.array([3.0, 4.0]), 1.0), [0.6, 0.8], atol=1e-15)
-    z = np.array([1.0, 0.0])
-    assert np.array_equal(clip(z, 2.0), z)  # no-op below the threshold
-    assert np.array_equal(clip(np.zeros(3), 1.0), np.zeros(3))
-
-
 def test_clip_rejects_nonpositive_threshold():
     for c in (0.0, -1.0):
         with pytest.raises(ValueError):

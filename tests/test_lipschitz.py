@@ -133,25 +133,6 @@ def test_alpha_nonincreasing_in_tau():
     assert all(a >= b - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
 
-def test_alpha_matches_dense_grid_oracle():
-    prob = _scaled_two_sample_problem()
-    profile = build_profile(prob)
-    grid = [np.array([w]) for w in np.linspace(-4.0, 4.0, 4001)]
-    for tau in (0.5, 1.0, 1.5, 2.0):
-        got = alpha_estimate(prob, profile, tau, grid)
-        # independent evaluation of the same ratio
-        best = math.inf
-        for w in np.linspace(-4.0, 4.0, 4001):
-            g1 = abs(w + 1.0)
-            g2 = 2.0 * abs(w - 1.0)
-            denom = 0.5 * (g1 + g2) / 2.0
-            if denom <= 1e-8:
-                continue
-            numer = 0.5 * (min(1.0 / tau, 1.0) * g1 + min(1.0 / tau, 0.5) * g2)
-            best = min(best, numer / denom)
-        assert got == pytest.approx(best, abs=1e-6)
-
-
 def test_alpha_errors():
     prob = _scaled_two_sample_problem()
     profile = build_profile(prob)
