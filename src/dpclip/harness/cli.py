@@ -46,7 +46,7 @@ _TUPLE_PARSERS = {int: _ints, float: _floats, str: _tokens}
 # the flags of each command, in --help order; every name but "config" is an
 # ExperimentSpec field, whose annotation gives the flag its type
 _OUTPUT = ("out", "config", "master_seed")
-_DP_SGD = ("seeds", "epsilon", "delta", "nu", "iterations", "batch", "no_noise")
+_DP_SGD = ("seeds", "epsilon", "delta", "iterations", "batch", "no_noise")
 _SYNTHETIC = ("append_bias", "synthetic", "dim", "classes", "tail_k")
 _DATASET = (*_SYNTHETIC, "csv", "test_csv", "n", "norm_low", "norm_high")
 # of the dataset fields, a --csv dataset reads only these

@@ -107,7 +107,7 @@ def _sigma_sq_for(spec: ExperimentSpec, tau: float, problem: Problem) -> float:
         return 0.0
     if math.isinf(tau):
         raise SpecValidationError("an infinite clip norm requires --no-noise")
-    budget = PrivacyBudget(spec.epsilon, spec.delta, spec.nu)
+    budget = PrivacyBudget(spec.epsilon, spec.delta)
     return noise_variance(
         spec.iterations, tau, problem.n, budget, problem.dim, expected_batch=spec.batch
     ).sigma_sq
@@ -281,14 +281,14 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
     empirical k-th moment of the per-sample constants.
     """
     if not spec.n_list:
-        raise SpecValidationError("phi-scaling requires a nonempty n list")
+        raise SpecValidationError("phi-scaling requires a nonempty n_list")
     if spec.synthetic not in (None, "heavy"):
         raise SpecValidationError("phi-scaling runs heavy-tailed data: --synthetic heavy")
     if spec.batch > min(spec.n_list):
         raise SpecValidationError(f"batch {spec.batch} exceeds n={min(spec.n_list)}")
     if not spec.moment_k > 1:
         raise SpecValidationError("moment order k must exceed 1")
-    budget = PrivacyBudget(spec.epsilon, spec.delta, spec.nu)
+    budget = PrivacyBudget(spec.epsilon, spec.delta)
     k = spec.moment_k
     # every size's schedule and noise first, so a size that cannot be run
     # fails before any DP-SGD run of another size
@@ -391,7 +391,7 @@ def cmd_lower_bound_demo(spec: ExperimentSpec) -> list[list]:
     qv = QvSpec(v=v, p=spec.qv_p, k=k)
     xs = sample_Qv_many(qv, spec.n, rng)
     x_bar = xs.mean(axis=0)
-    budget = PrivacyBudget(spec.epsilon, spec.delta, spec.nu)
+    budget = PrivacyBudget(spec.epsilon, spec.delta)
     phi = compute_phi(spec.n, d, budget)
     phi_scale = phi ** (1.0 - 1.0 / k)
 

@@ -53,7 +53,6 @@ class ExperimentSpec:
     # privacy budget
     epsilon: float = 2.0
     delta: float = 1e-5
-    nu: float = 1.0
 
     # DP-SGD controls
     iterations: int = 200

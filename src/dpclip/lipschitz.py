@@ -4,6 +4,7 @@ suboptimality ratio estimated over sampled parameter points."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +40,18 @@ def build_profile(problem: Problem) -> LipschitzProfile:
 
 
 def percentile(profile: LipschitzProfile, q: float) -> float:
-    """Nearest-rank percentile: the ceil(q*n/100)-th order statistic.
+    """Nearest-rank percentile: the ceil(q*n/100)-th order statistic, with q*n/100
+    taken in decimal, so p16.1 of 1000 constants is the 161st.
 
     q = 0 returns the minimum and q = 100 the maximum.
     """
     if not 0 <= q <= 100:
         raise ValueError(f"percentile must lie in [0, 100], got {q}")
-    rank = math.ceil(q * profile.n / 100.0)
+    x = q * profile.n / 100.0
+    # 16.1 * 1000 / 100 is 161.00000000000003 in binary: within 4 ulps, x is that integer
+    rank = round(x)
+    if abs(x - rank) > 4 * sys.float_info.epsilon * x:
+        rank = math.ceil(x)
     rank = min(max(rank, 1), profile.n)
     return float(profile.g[rank - 1])
 

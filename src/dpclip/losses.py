@@ -27,6 +27,11 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
+        if np.asarray(self.labels).dtype.kind not in "biu":  # integral floats such as 1.0 pass
+            labels = np.asarray(self.labels, dtype=float)
+            bad = ~((np.abs(labels) < 2.0**63) & (np.trunc(labels) == labels))
+            if np.any(bad):
+                raise ValueError(f"non-integral label in row {int(np.argmax(bad))}")
         self.labels = np.asarray(self.labels, dtype=int)
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels must have the same length")

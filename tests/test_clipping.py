@@ -203,6 +203,9 @@ def test_lemma_bound_two_atoms_tight():
     # moment/tail inequality is tight here
     assert bias_bound_lemma(TWO_ATOM, 1.0, 2.0) == pytest.approx(4.5, abs=1e-12)
     assert bias_bound_lemma(TWO_ATOM, 11.0, 2.0) == 0.0
+    # all-zero atoms: no moment to factor out, and no mass at or above tau > 0
+    zeros = DiscreteVectorDistribution.from_atoms([(np.zeros(2), 0.25), (np.zeros(2), 0.75)])
+    assert bias_bound_lemma(zeros, 0.5, 2.0) == 0.0 == clipping_bias_exact(zeros, 0.5)
 
 
 def test_lemma_bound_across_p_on_single_norm_tail():

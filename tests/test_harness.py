@@ -34,6 +34,8 @@ from dpclip.optimizer import run_dp_sgd
 from dpclip.privacy import PrivacyBudget, compute_phi
 
 PROFILE = LipschitzProfile(g=np.array([1.0, 2.0, 4.0, 8.0]))
+# two CSVs of different widths, and a config file that holds a JSON list
+DATA = Path(__file__).parent / "data"
 
 
 def _tiny_spec(command, out, **kw):
@@ -239,12 +241,22 @@ def _forbid_work(monkeypatch, names):
         ("phi-scaling", dict(synthetic="heavy", n_list=(2000, 150), epsilon=1e-155,
                              dim=20, append_bias=False),
          ValueError, r"clip norm is 0.0 at phi = 1.752e\+154"),
+        ("sweep-clip", dict(synthetic=None, csv=str(DATA / "two_features.csv"),
+                            test_csv=str(DATA / "three_features.csv")),
+         SpecValidationError, "train/test feature dimensions differ"),
+        ("sweep-clip", dict(synthetic=None), SpecValidationError,
+         "provide --csv PATH or --synthetic"),
+        ("sweep-clip", dict(batch=121.0), SpecValidationError,
+         "batch 121.0 exceeds dataset size 120"),
+        ("sweep-clip", dict(clip_candidates=("p50", "abc")), SpecValidationError,
+         "bad clip candidate: 'abc'"),
     ],
     ids=["sweep-inf-without-no-noise", "sweep-nan-no-noise", "rnmm-clamp-nan",
          "rnmm-eps-minus-inf", "phi-batch-over-min-n", "phi-moment-k-zero",
          "lower-bound-batch-over-n", "bias-oracle-p-nan", "sweep-epsilon-underflow",
          "sweep-epsilon-sigma-overflow", "phi-epsilon-phi-overflow",
-         "phi-later-n-fails-first"],
+         "phi-later-n-fails-first", "sweep-csv-widths-differ", "sweep-no-data-source",
+         "sweep-batch-over-n", "sweep-bad-clip-candidate"],
 )
 @pytest.mark.filterwarnings("ignore:phi = .* >= 1")  # a tiny epsilon makes phi huge
 def test_invalid_input_fails_before_any_run(
@@ -315,8 +327,12 @@ def test_cli_infinite_value_exits_1_before_any_work(monkeypatch, tmp_path, capsy
           "--batch", "10"], "dim"),
         (["lower-bound-demo", "--dim", "0", "--n", "60", "--iterations", "10",
           "--batch", "10"], "dim"),
+        (["phi-scaling", "--n-list", ""], "n_list"),
+        (["bias-oracle", "--count", "0"], "count"),
+        (["bias-oracle", "--config", str(DATA / "config_list.json")], "config"),
     ],
-    ids=["bias-oracle-empty-p-list", "lower-bound-negative-dim", "lower-bound-zero-dim"],
+    ids=["bias-oracle-empty-p-list", "lower-bound-negative-dim", "lower-bound-zero-dim",
+         "phi-empty-n-list", "bias-oracle-zero-count", "config-json-list"],
 )
 def test_cli_empty_or_out_of_range_field_exits_1_before_any_work(
     monkeypatch, tmp_path, capsys, argv, name
@@ -584,7 +600,7 @@ def test_phi_scaling_rows_and_phi_column(tmp_path):
     )
     rows = cmd_phi_scaling(spec)
     assert len(rows) == 2
-    budget = PrivacyBudget(spec.epsilon, spec.delta, spec.nu)
+    budget = PrivacyBudget(spec.epsilon, spec.delta)
     for n, phi, k, _risk in rows:
         d = spec.classes * spec.dim  # parameter count of the softmax model
         assert phi == compute_phi(n, d, budget)
@@ -900,6 +916,13 @@ _SYNTHETIC_FLAGS = {
             ["phi-scaling", "--n-list", "60", "--batch", "10", "--iterations", "5",
              "--synthetic", "planted"],
             None, id="phi-synthetic-planted",
+        ),
+        # the closed form's constant is fixed at 1: --epsilon and --delta set the noise
+        pytest.param(_CSV_SWEEP + ["--nu", "0.5"], None, id="sweep-nu"),
+        pytest.param(
+            ["lower-bound-demo", "--dim", "2", "--n", "60", "--iterations", "5",
+             "--batch", "10"],
+            {"nu": 2}, id="lower-bound-config-nu",
         ),
     ],
 )

@@ -2,6 +2,7 @@
 ratio estimator."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,6 +96,13 @@ def test_percentile_monotone_and_no_rank_drift():
     assert all(a <= b for a, b in zip(values, values[1:]))
     # q*n/100 landing on an exact integer must not creep to the next rank
     assert percentile(profile, 10) == profile.g[199]
+    # ranks by exact decimal arithmetic: 16.1 * 1000 / 100 is 161.00000000000003
+    # in binary, and 99.9 * 41000 / 100 is 40959.00000000001
+    for n in (1, 7, 999, 1000, 2000, 8000, 41000, 82000, 83000, 100000, 164500):
+        ranks = LipschitzProfile(g=np.arange(1.0, n + 1))
+        for tenths in range(1001):
+            exact = max(1, math.ceil(Fraction(tenths, 10) * n / 100))
+            assert percentile(ranks, tenths / 10) == exact, (tenths / 10, n)
 
 
 def _ball_samples(rng, dim, count, radius=3.0):

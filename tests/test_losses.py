@@ -62,6 +62,15 @@ def test_dataset_validation_and_bias():
     assert with_bias.features[0, -1] == 1.0
     with pytest.raises(ValueError):
         with_bias.with_bias()
+    # a float label was truncated (0.5 -> 0), NaN failed inside numpy, and
+    # 1e20 left the int64 range
+    for labels, row in (([0.5, 1.7, 2.2], 0), ([0.0, 1.0, math.nan], 2), ([0, math.inf, 1], 1),
+                        ([0.0, 1e20, 1.0], 1)):
+        with pytest.raises(ValueError, match=f"non-integral label in row {row}$"):
+            Dataset(np.ones((3, 2)), labels)
+    assert np.array_equal(Dataset(np.ones((2, 2)), [1.0, 0.0]).labels, [1, 0])
+    labels = np.array([0, 1])
+    assert Dataset(np.ones((2, 2)), labels).labels is labels
 
 
 def test_dataset_rejects_non_finite_features():
