@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: sweep-clip, rnmm-pipeline, phi-scaling, bias-oracle,
-lower-bound-demo. Flags mirror the experiment spec fields; ``--config FILE``
-loads the same keys from JSON, with explicit flags taking precedence.
+lower-bound-demo. Each flag is an experiment spec field, and flags are the
+only input of a run.
 
 Exit codes: 0 success, 1 validation error, 2 assertion/oracle failure,
 3 I/O error.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 from typing import Literal, get_args, get_origin
@@ -43,9 +42,9 @@ def _tokens(text: str) -> tuple[str, ...]:
 
 _TUPLE_PARSERS = {int: _ints, float: _floats, str: _tokens}
 
-# the flags of each command, in --help order; every name but "config" is an
-# ExperimentSpec field, whose annotation gives the flag its type
-_OUTPUT = ("out", "config", "master_seed")
+# the flags of each command, in --help order; every name is an ExperimentSpec
+# field, whose annotation gives the flag its type
+_OUTPUT = ("out", "master_seed")
 _DP_SGD = ("seeds", "epsilon", "delta", "iterations", "batch", "no_noise")
 _SYNTHETIC = ("append_bias", "synthetic", "dim", "classes", "tail_k")
 _DATASET = (*_SYNTHETIC, "csv", "test_csv", "n", "norm_low", "norm_high")
@@ -74,7 +73,6 @@ _HELP = {
     "bias-oracle": "clipping-bias bound chain checks",
     "lower-bound-demo": "two-atom hard instance demo",
     "out": "output CSV path",
-    "config": "JSON file with spec fields (flags win)",
     "seeds": "comma-separated run seeds",
     "iterations": "DP-SGD steps T",
     "batch": "expected batch size b",
@@ -87,19 +85,14 @@ _HELP = {
 
 def _flag_options(name: str) -> dict:
     """add_argument options for a field, from its ExperimentSpec annotation."""
-    if name == "config":
-        return {}
     kind = field_type(name)
     if get_origin(kind) is Literal:
         return {"choices": get_args(kind)}
     if get_origin(kind) is tuple:
         return {"type": _TUPLE_PARSERS[get_args(kind)[0]]}
-    if kind is bool and name.startswith("no_"):
-        # already a negation, so a plain switch; default None, not False, so
-        # that a --config value applies when the flag is absent
-        return {"action": "store_true", "default": None}
     if kind is bool:
-        return {"action": argparse.BooleanOptionalAction}
+        # default None, not False: an absent flag leaves the field's default
+        return {"action": "store_true", "default": None}
     return {"type": kind}
 
 
@@ -115,29 +108,15 @@ def build_parser() -> _Parser:
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    """Merge CLI flags over JSON config over dataclass defaults.
-
-    Config keys obey the subcommand's own flags, so a field the command never
-    reads is rejected whichever way it is given; ExperimentSpec checks each
-    value's type.
-    """
-    reads = set(COMMAND_FIELDS[args.command]) - {"config"}
-    merged: dict = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise SpecValidationError("config file must hold a JSON object")
-        merged.update(loaded)
-    merged.update((k, v) for k, v in vars(args).items() if k in reads and v is not None)
-    unknown = set(merged) - reads
-    if unknown:
-        raise SpecValidationError(f"{args.command} does not read: {sorted(unknown)}")
-    if merged.get("csv") is not None:
-        ignored = sorted((set(_DATASET) - _CSV_READS) & set(merged))
+    """The spec of the given flags over the dataclass defaults; ExperimentSpec
+    checks each value's type."""
+    reads = COMMAND_FIELDS[args.command]
+    given = {k: v for k, v in vars(args).items() if k in reads and v is not None}
+    if given.get("csv") is not None:
+        ignored = sorted((set(_DATASET) - _CSV_READS) & set(given))
         if ignored:
             raise SpecValidationError(f"--csv data ignores the synthetic fields {ignored}")
-    return ExperimentSpec(command=args.command, **merged)
+    return ExperimentSpec(command=args.command, **given)
 
 
 def _check_out(path: str) -> None:

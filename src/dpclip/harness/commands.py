@@ -95,9 +95,12 @@ def _metric_value(problem: Problem, test: Dataset | None, w: np.ndarray) -> floa
     """Held-out accuracy when a test split is given, else f(w). Cross-entropy
     is nonnegative and the generators' planted labels are separable, so on
     their data inf f = 0 and f(w) is the exact suboptimality; on CSV data it
-    is the training loss."""
+    is the training loss. A diverged iterate's scores are not finite, and
+    its accuracy is NaN, as its f(w) is, not argmax's class 0."""
     if test is not None:
         scores = test.features @ w.reshape(-1, test.dim).T
+        if not np.isfinite(scores).all():
+            return math.nan
         return float(np.mean(np.argmax(scores, axis=1) == test.labels))
     return problem.objective(w)
 

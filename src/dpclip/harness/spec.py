@@ -1,4 +1,4 @@
-"""Experiment specification shared by the CLI flags and JSON config files."""
+"""Experiment specification: the inputs of a run, from CLI flags or a direct call."""
 
 from __future__ import annotations
 
@@ -25,12 +25,12 @@ class ExperimentSpec:
     """Resolved inputs of one harness command.
 
     Each field's annotation is its only declaration: the CLI makes a flag of
-    it, and every value, from a flag, a JSON config file or a direct call, is
-    checked against it and stored as that type (a float field takes 10 as
-    10.0, a tuple field takes a list) before any command starts. No float may
-    be infinite, except where inf is the field's sentinel. The seeds, output
-    path, DP-SGD controls and test_csv's need of csv are checked here too;
-    other fields are validated by the command that reads them.
+    it, and every value, from a flag or a direct call, is checked against it
+    and stored as that type (a float field takes 10 as 10.0, a tuple field
+    takes a list) before any command starts. No float may be infinite,
+    except where inf is the field's sentinel. The seeds, output path, DP-SGD
+    controls and test_csv's need of csv are checked here too; other fields
+    are validated by the command that reads them.
     """
 
     command: str

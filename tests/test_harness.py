@@ -34,7 +34,7 @@ from dpclip.optimizer import run_dp_sgd
 from dpclip.privacy import PrivacyBudget, compute_phi
 
 PROFILE = LipschitzProfile(g=np.array([1.0, 2.0, 4.0, 8.0]))
-# two CSVs of different widths, and a config file that holds a JSON list
+# two CSVs of different widths
 DATA = Path(__file__).parent / "data"
 
 
@@ -88,7 +88,8 @@ def test_spec_validation():
     # each value must have its field's declared type, named in the message
     for bad in (dict(iterations=2.5), dict(seeds=(True,)), dict(master_seed=1.5),
                 dict(batch="10"), dict(n_list=(100.0,)), dict(synthetic="uniform"),
-                dict(append_bias=1), dict(clip_candidates="p0"), dict(eps_rnmm="1")):
+                dict(append_bias=1), dict(clip_candidates="p0"), dict(eps_rnmm="1"),
+                dict(n=60.5), dict(classes=2.5), dict(dim=3.0), dict(seeds=(1.5,))):
         (name,) = bad
         with pytest.raises(SpecValidationError, match=f"^{name} must be "):
             ExperimentSpec(command="sweep-clip", out="x.csv", **bad)
@@ -329,10 +330,9 @@ def test_cli_infinite_value_exits_1_before_any_work(monkeypatch, tmp_path, capsy
           "--batch", "10"], "dim"),
         (["phi-scaling", "--n-list", ""], "n_list"),
         (["bias-oracle", "--count", "0"], "count"),
-        (["bias-oracle", "--config", str(DATA / "config_list.json")], "config"),
     ],
     ids=["bias-oracle-empty-p-list", "lower-bound-negative-dim", "lower-bound-zero-dim",
-         "phi-empty-n-list", "bias-oracle-zero-count", "config-json-list"],
+         "phi-empty-n-list", "bias-oracle-zero-count"],
 )
 def test_cli_empty_or_out_of_range_field_exits_1_before_any_work(
     monkeypatch, tmp_path, capsys, argv, name
@@ -348,11 +348,8 @@ def test_cli_empty_or_out_of_range_field_exits_1_before_any_work(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("route", ["flag", "config"])
 @pytest.mark.parametrize("command", ["sweep-clip", "rnmm-pipeline"])
-def test_cli_test_csv_without_csv_exits_1_before_any_work(
-    monkeypatch, tmp_path, capsys, command, route
-):
+def test_cli_test_csv_without_csv_exits_1_before_any_work(monkeypatch, tmp_path, capsys, command):
     # synthetic data has no held-out split: the flag was ignored, and the run
     # wrote suboptimality where held-out accuracy was asked for
     _forbid_work(monkeypatch, ("planted_logistic_dataset", "load_dataset_csv",
@@ -360,13 +357,7 @@ def test_cli_test_csv_without_csv_exits_1_before_any_work(
     test = tmp_path / "test.csv"
     test.write_text("0.5,-1.0,0\n1.0,2.0,1\n", encoding="utf-8")
     argv = [command, "--synthetic", "planted", "--n", "60", "--dim", "2",
-            "--iterations", "5", "--batch", "10", "--eta-grid", "0.3"]
-    if route == "flag":
-        argv += ["--test-csv", str(test)]
-    else:
-        config = tmp_path / "spec.json"
-        config.write_text(json.dumps({"test_csv": str(test)}), encoding="utf-8")
-        argv += ["--config", str(config)]
+            "--iterations", "5", "--batch", "10", "--eta-grid", "0.3", "--test-csv", str(test)]
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -426,30 +417,6 @@ def test_lower_bound_demo_has_no_sampling_oracle(tmp_path):
     lines = out.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "seed,risk,phi_power_scale,degenerate"
     assert len(lines) == 2
-
-
-@pytest.mark.parametrize(
-    "config",
-    [{"iterations": 20.5}, {"master_seed": 1.5}, {"batch": "10"}, {"n": 60.5},
-     {"classes": 2.5}, {"dim": 3.0}, {"seeds": [1.5]}],
-    ids=lambda config: "-".join(config),
-)
-def test_cli_rejects_mistyped_config_values_before_any_work(
-    monkeypatch, tmp_path, capsys, config
-):
-    # a JSON value is not parsed by the flag's type, so the spec must check it
-    # before any dataset is made, not fail with a traceback or after the oracle
-    _forbid_work(monkeypatch, ("planted_logistic_dataset", "load_dataset_csv",
-                               "reference_minimum", "run_dp_sgd"))
-    config_path = tmp_path / "spec.json"
-    config_path.write_text(json.dumps(config), encoding="utf-8")
-    out = tmp_path / "x.csv"
-    argv = ["sweep-clip", "--synthetic", "planted", "--config", str(config_path),
-            "--out", str(out)]
-    assert main(argv) == 1
-    (name,) = config
-    assert capsys.readouterr().err.startswith(f"validation error: {name} must be ")
-    assert not out.exists()
 
 
 def test_sweep_no_noise_inf_matches_plain_sgd_oracle(tmp_path):
@@ -566,6 +533,39 @@ def test_sweep_accuracy_metric_with_csv_split(monkeypatch, tmp_path):
     assert len(values) == 2 * 2 and all(0.0 <= v <= 1.0 for v in values)
     # separable data with mild noise should classify most held-out points
     assert report.rows[0][3] >= 0.6
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the iterates overflow
+def test_diverged_run_scores_nan_accuracy(monkeypatch, tmp_path, capsys):
+    # a NaN iterate's scores are NaN and argmax made each row class 0, so the
+    # sweep exited 0 with a diverged seed scored at the test split's class-0
+    # share; without --test-csv the same runs exit 1
+    rng = np.random.default_rng(5)
+    paths = []
+    for name, n in (("train", 300), ("test", 100)):
+        x = rng.normal(size=(n, 3))
+        labels = (x @ np.array([1.0, -0.5, 0.25]) > 0.2).astype(int)
+        rows = [",".join([*map(repr, map(float, f)), str(l)]) for f, l in zip(x, labels)]
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_text("\n".join(rows) + "\n", encoding="utf-8")
+    scored = []
+    metric_value = commands._metric_value
+
+    def recording(problem, test, w):
+        scored.append((bool(np.isfinite(w).all()), metric_value(problem, test, w)))
+        return scored[-1][1]
+
+    monkeypatch.setattr(commands, "_metric_value", recording)
+    out = tmp_path / "x.csv"
+    argv = ["sweep-clip", "--csv", str(paths[0]), "--test-csv", str(paths[1]),
+            "--iterations", "60", "--batch", "20", "--eta-grid", "1e308",
+            "--clip-candidates", "p0,p100", "--no-noise", "--seeds", "0,1,2", "--out", str(out)]
+    assert main(argv) == 1
+    assert "every eta gives a NaN mean metric" in capsys.readouterr().err
+    assert not out.exists()
+    assert not all(finite for finite, _ in scored)
+    for finite, accuracy in scored:
+        assert 0.0 <= accuracy <= 1.0 if finite else math.isnan(accuracy)
 
 
 def test_rnmm_infinite_epsilon_selects_g_min(tmp_path):
@@ -800,65 +800,16 @@ def test_lower_bound_demo_risks_are_the_objective_less_f_star_bitwise(monkeypatc
         assert float(row[1]).hex() == (problem.objective(w) - f_star).hex()
 
 
-def test_cli_config_file_equivalent_to_flags(tmp_path):
-    out_flags = tmp_path / "flags.csv"
-    out_config = tmp_path / "config.csv"
-    flags = [
-        "sweep-clip", "--synthetic", "planted", "--n", "100", "--dim", "3",
-        "--classes", "2", "--norm-low", "0.5", "--norm-high", "2.0",
-        "--append-bias", "--iterations", "20", "--batch", "10",
-        "--seeds", "0,1", "--eta-grid", "0.1,0.3", "--clip-candidates",
-        "p0,p100", "--epsilon", "2", "--master-seed", "7",
-        "--out", str(out_flags),
-    ]
-    assert main(flags) == 0
-    config = {
-        "synthetic": "planted", "n": 100, "dim": 3, "classes": 2,
-        "norm_low": 0.5, "norm_high": 2.0, "append_bias": True,
-        "iterations": 20, "batch": 10, "seeds": [0, 1],
-        "eta_grid": [0.1, 0.3], "clip_candidates": ["p0", "p100"],
-        "epsilon": 2, "master_seed": 7, "out": str(out_config),
-    }
-    config_path = tmp_path / "spec.json"
-    config_path.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["sweep-clip", "--config", str(config_path)]) == 0
-    flag_bytes = out_flags.read_bytes()
-    config_bytes = out_config.read_bytes()
-    assert flag_bytes == config_bytes
-
-    # the flag parses --p-list 2,3 to floats; the config's integers must follow
-    assert main(["bias-oracle", "--count", "2", "--p-list", "2,3", "--out", str(out_flags)]) == 0
-    config_path.write_text(json.dumps({"p_list": [2, 3], "count": 2}), encoding="utf-8")
-    assert main(["bias-oracle", "--config", str(config_path), "--out", str(out_config)]) == 0
-    assert out_flags.read_bytes() == out_config.read_bytes()
-
-
 def test_command_fields_match_spec_and_parsers():
     assert set(COMMAND_FIELDS) == set(COMMANDS)
     spec_fields = set(ExperimentSpec.__dataclass_fields__)
     read = {name for names in COMMAND_FIELDS.values() for name in names}
-    assert read - {"config"} <= spec_fields
+    assert read <= spec_fields
     assert spec_fields - read == {"command"}
     parser = build_parser()
     for command, names in COMMAND_FIELDS.items():
         dests = list(vars(parser.parse_args([command])))
         assert dests == ["command", *names], command
-
-
-def test_cli_no_noise_flag_matches_config(tmp_path):
-    # an unclipped, noiseless sweep needs no_noise; the flag and the config key
-    # must both set it
-    out_flag, out_config = tmp_path / "flag.csv", tmp_path / "config.csv"
-    args = [
-        "sweep-clip", "--synthetic", "planted", "--n", "60", "--dim", "3",
-        "--iterations", "10", "--batch", "10", "--eta-grid", "0.3",
-        "--clip-candidates", "inf",
-    ]
-    assert main(args + ["--no-noise", "--out", str(out_flag)]) == 0
-    config_path = tmp_path / "spec.json"
-    config_path.write_text(json.dumps({"no_noise": True}), encoding="utf-8")
-    assert main(args + ["--config", str(config_path), "--out", str(out_config)]) == 0
-    assert out_flag.read_bytes() == out_config.read_bytes()
 
 
 def test_no_noise_skips_calibration_in_every_dp_sgd_command(monkeypatch, tmp_path):
@@ -892,48 +843,36 @@ _SYNTHETIC_FLAGS = {
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv",
     [
-        pytest.param(["bias-oracle", "--count", "2", "--epsilon", "2"], None, id="bias-epsilon"),
-        pytest.param(["bias-oracle", "--count", "2", "--no-noise"], None, id="bias-no-noise"),
-        pytest.param(
-            ["phi-scaling", "--n-list", "100", "--csv", "train.csv"], None, id="phi-csv"
-        ),
-        pytest.param(["phi-scaling", "--n-list", "100", "--n", "100"], None, id="phi-n"),
-        pytest.param(["lower-bound-demo", "--eta-grid", "0.1"], None, id="lower-bound-eta-grid"),
-        pytest.param(
-            _CSV_SWEEP, {"count": 3, "qv_p": 0.4, "moment_k": 9}, id="sweep-config-keys"
-        ),
+        pytest.param(["bias-oracle", "--count", "2", "--epsilon", "2"], id="bias-epsilon"),
+        pytest.param(["bias-oracle", "--count", "2", "--no-noise"], id="bias-no-noise"),
+        pytest.param(["phi-scaling", "--n-list", "100", "--csv", "train.csv"], id="phi-csv"),
+        pytest.param(["phi-scaling", "--n-list", "100", "--n", "100"], id="phi-n"),
+        pytest.param(["lower-bound-demo", "--eta-grid", "0.1"], id="lower-bound-eta-grid"),
         *[
-            pytest.param(_CSV_SWEEP + flag, None, id=f"sweep-csv-{key}")
+            pytest.param(_CSV_SWEEP + flag, id=f"sweep-csv-{key}")
             for key, flag in _SYNTHETIC_FLAGS.items()
         ],
         pytest.param(
-            ["rnmm-pipeline", *_CSV_RUN, "--eps-rnmm", "0.3"], {"tail_k": 3},
-            id="rnmm-csv-config-tail_k",
-        ),
-        pytest.param(
             ["phi-scaling", "--n-list", "60", "--batch", "10", "--iterations", "5",
              "--synthetic", "planted"],
-            None, id="phi-synthetic-planted",
+            id="phi-synthetic-planted",
         ),
         # the closed form's constant is fixed at 1: --epsilon and --delta set the noise
-        pytest.param(_CSV_SWEEP + ["--nu", "0.5"], None, id="sweep-nu"),
-        pytest.param(
-            ["lower-bound-demo", "--dim", "2", "--n", "60", "--iterations", "5",
-             "--batch", "10"],
-            {"nu": 2}, id="lower-bound-config-nu",
-        ),
+        pytest.param(_CSV_SWEEP + ["--nu", "0.5"], id="sweep-nu"),
+        # flags are the only input, and a bool flag is a plain switch
+        pytest.param(_CSV_SWEEP + ["--config", "x.json"], id="sweep-config"),
+        pytest.param(_CSV_SWEEP + ["--no-append-bias"], id="sweep-no-append-bias"),
     ],
 )
-def test_cli_rejects_flags_a_command_ignores(tmp_path, argv, config):
+def test_cli_rejects_flags_a_command_ignores(monkeypatch, tmp_path, argv):
+    _forbid_work(monkeypatch, ("load_dataset_csv", "planted_logistic_dataset",
+                               "heavy_tailed_logistic_dataset", "sample_Qv_many",
+                               "clipping_bias_exact", "run_dp_sgd"))
     train = tmp_path / "train.csv"
     train.write_text("0.5,-1.0,0\n1.0,2.0,1\n2.0,0.25,1\n", encoding="utf-8")
     argv = [token.format(train=train) for token in argv]
-    if config is not None:
-        config_path = tmp_path / "spec.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        argv += ["--config", str(config_path)]
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 1
     assert not out.exists()

@@ -1,11 +1,13 @@
-"""The README's python example runs, and its library table names only what
-the library has."""
+"""The README's python example runs, its library table names only what the
+library has, and its CLI section names exactly the flags the parser has."""
 
+import argparse
 import importlib
 import math
 import re
 from pathlib import Path
 
+from dpclip.harness.cli import build_parser
 from dpclip.losses import Problem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -41,3 +43,17 @@ def test_readme_library_table_names_exist():
             ):
                 missing.append(f"{module_name}: {token}")
     assert not missing
+
+
+def test_readme_cli_flags_match_the_parser():
+    # a retired flag cannot stay in the docs, nor a new one go unmentioned
+    section = README.read_text(encoding="utf-8").split("## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z](?:[a-z-]*[a-z])?", section))
+    (commands,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        flag for sub in commands.choices.values() for action in sub._actions
+        for flag in action.option_strings
+    } - {"-h", "--help"}
+    assert documented == options
