@@ -69,9 +69,10 @@ def _parse(path, skiprows: int, columns: int) -> np.ndarray:
     return data
 
 
-def read(path) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of d floats plus a trailing integer label, header optional:
-    ``(data, labels)``, with the label column still in ``data``.
+def read(path) -> np.ndarray:
+    """Rows of d floats plus a trailing label, header optional, as one
+    (rows, d + 1) float array; :func:`dpclip.losses.load_dataset_csv` checks
+    that the labels are integers.
 
     Only the first non-blank records are read with :mod:`csv`, to tell a
     header from data; numpy's C reader then parses every data row, or the
@@ -94,8 +95,4 @@ def read(path) -> tuple[np.ndarray, np.ndarray]:
     if len(first) < 2:
         raise ValueError("rows must contain at least one feature and a label")
     data = _parse(path, skiprows, len(first))
-    # NaN, inf and values beyond int64 are rejected before the cast, which
-    # would warn on them
-    if not np.all((np.abs(data[:, -1]) < 2.0**63) & (np.trunc(data[:, -1]) == data[:, -1])):
-        raise ValueError("trailing column must hold integer labels")
-    return data, data[:, -1].astype(np.int64)
+    return data

@@ -17,6 +17,17 @@ import numpy as np
 from .clipping import clip_scales
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """``labels`` as ints; integral floats such as 1.0 pass, and a label that
+    is fractional, NaN, infinite or beyond int64 fails, naming its row."""
+    if np.asarray(labels).dtype.kind not in "biu":
+        floats = np.asarray(labels, dtype=float)
+        bad = ~((np.abs(floats) < 2.0**63) & (np.trunc(floats) == floats))
+        if np.any(bad):
+            raise ValueError(f"non-integral label in row {int(np.argmax(bad))}")
+    return np.asarray(labels, dtype=int)
+
+
 @dataclass
 class Dataset:
     """Feature matrix with integer class labels."""
@@ -27,12 +38,7 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
-        if np.asarray(self.labels).dtype.kind not in "biu":  # integral floats such as 1.0 pass
-            labels = np.asarray(self.labels, dtype=float)
-            bad = ~((np.abs(labels) < 2.0**63) & (np.trunc(labels) == labels))
-            if np.any(bad):
-                raise ValueError(f"non-integral label in row {int(np.argmax(bad))}")
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.labels = _integer_labels(self.labels)
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels must have the same length")
         if self.features.shape[0] < 1:
@@ -73,7 +79,8 @@ def load_dataset_csv(path, append_bias: bool = False) -> Dataset:
     """
     from ._dataset_csv import read  # only runs that load a CSV compile it
 
-    data, labels = read(path)
+    data = read(path)
+    labels = _integer_labels(data[:, -1])
     if append_bias:
         data[:, -1] = 1.0
     else:

@@ -116,9 +116,9 @@ def test_csv_loader_errors(tmp_path):
          "the number of columns changed from 3 to 2 at row 3"),
         ("x1,x2,label\n1.0,2.0,0\n3.0,abc,1\n", r"'abc' to float64 at row \d+, column 2"),
         ("1.0,2.0,0\n3.0,4.0,1 # note\n", r"'1 # note' to float64 at row \d+, column 3"),
-        ("1.0,2.0,0\n1.0,2.0,0.5\n", "trailing column must hold integer labels"),
-        ("1.0,2.0,0\n1.0,2.0,nan\n", "trailing column must hold integer labels"),
-        ("1.0,2.0,0\n1.0,2.0,1e300\n", "trailing column must hold integer labels"),
+        ("1.0,2.0,0\n1.0,2.0,0.5\n", "non-integral label in row 1$"),
+        ("1.0,2.0,0\n1.0,2.0,nan\n", "non-integral label in row 1$"),
+        ("1.0,2.0,0\n1.0,2.0,1e300\n", "non-integral label in row 1$"),
     ],
     ids=["empty", "header-only", "one-field", "ragged", "non-numeric", "hash-not-a-comment",
          "non-integer-label", "nan-label", "huge-label"],

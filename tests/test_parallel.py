@@ -51,6 +51,19 @@ def test_fork_map_returns_the_serial_map_in_input_order(monkeypatch):
     _assert_no_child_left()
 
 
+def test_fork_map_returns_results_larger_than_a_pipe_buffer_intact(monkeypatch):
+    # each child's share pickles to 4.8 MB, far past the 64 KiB pipe buffer,
+    # so its write blocks until the caller reads it
+    _cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
+    results = fork_map(lambda seed: (os.getpid(), np.random.default_rng(seed).random(300_000)),
+                       range(6))
+    assert len(forks) == 2 and len({pid for pid, _ in results}) == 3
+    for seed, (_, values) in enumerate(results):
+        assert np.array_equal(values, np.random.default_rng(seed).random(300_000))
+    _assert_no_child_left()
+
+
 def test_shares_are_balanced_longest_first():
     # t̂ of seeds 0-4 at T = 256: round robin would give 723 and 384 steps
     t_hat = [255, 141, 251, 243, 217]
