@@ -3,8 +3,10 @@ on-disk cache of every parse keyed by the sha256 of the file's bytes.
 
 Each cache entry is ``np.loadtxt``'s exact output for one file, kept as
 ``$XDG_CACHE_HOME/dpclip/<TAG>-<sha256>.npy`` (``~/.cache/dpclip`` when that
-variable is unset, empty or relative). A cache that is missing, unreadable,
-unwritable or holds a spoiled entry only costs the parse again. Only
+variable is unset, empty or relative). Each new entry deletes the least
+recently used ones beyond the KEEP most recent, and a hit refreshes its
+entry's mtime. A cache that is missing, unreadable, unwritable or holds a
+spoiled entry only costs the parse again. Only
 ``load_dataset_csv`` imports this module: without bytecode files every run
 compiles what it imports, so a run that reads no CSV does not compile the
 loader.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import glob
 import hashlib
 import os
 
@@ -24,6 +27,10 @@ import numpy as np
 # options, header detection, encoding) changes what np.loadtxt returns for
 # the same bytes, so that no older entry is ever read back.
 TAG = "loadtxt1"
+
+# Entries kept, of this tag or an older one. A run reads at most two CSVs, a
+# train and a test split, and an entry takes 8 bytes per number of its file.
+KEEP = 8
 
 
 def _entry_path(path) -> str:
@@ -42,16 +49,19 @@ def _parse(path, skiprows: int, columns: int) -> np.ndarray:
     """``np.loadtxt``'s (rows, columns) parse of the file's data rows.
 
     The cache entry is read back when it holds a float64 array of that many
-    columns. Otherwise the file is parsed, and the parse is written to a
-    pid-named temporary file and renamed into place, so a reader never sees
-    half of an entry. A cache that cannot be read or written is skipped, and
-    a parse that raises writes nothing.
+    columns, and its mtime is set to now. Otherwise the file is parsed, and
+    the parse is written to a pid-named temporary file and renamed into
+    place, so a reader never sees half of an entry; then all but the KEEP
+    newest entries are deleted. A cache that cannot be read or written is
+    skipped, and a parse that raises writes nothing.
     """
     entry = _entry_path(path)
     try:
         with open(entry, "rb") as fh:
             data = np.lib.format.read_array(fh, allow_pickle=False)
         if data.ndim == 2 and data.dtype == np.float64 and data.shape[1] == columns:
+            with contextlib.suppress(OSError):
+                os.utime(entry)
             return data
     except (OSError, ValueError, EOFError):
         pass
@@ -66,6 +76,12 @@ def _parse(path, skiprows: int, columns: int) -> np.ndarray:
     except OSError:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+    else:
+        # an entry that another run deletes meanwhile stops the pruning
+        with contextlib.suppress(OSError):
+            pattern = os.path.join(glob.escape(os.path.dirname(entry)), "loadtxt*-*.npy")
+            for old in sorted(glob.glob(pattern), key=os.path.getmtime)[:-KEEP]:
+                os.unlink(old)
     return data
 
 

@@ -55,9 +55,9 @@ def clip_rows(rows: np.ndarray, c: float | np.ndarray) -> np.ndarray:
 
 def clip_scales(rows: np.ndarray, c: float | np.ndarray) -> np.ndarray:
     """Each row's clip scale ``min(1, c / norm)``, c broadcast unchecked against
-    ``rows.shape[:-1]``; fmin takes 1.0 over c / 0 = inf and inf / inf = NaN,
-    so a zero, NaN or at-most-c norm, or c = inf, keeps the row's bits."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    ``rows.shape[:-1]``; fmin takes 1.0 over an infinite c / norm and inf / inf
+    = NaN, so a zero, NaN or at-most-c norm, or c = inf, keeps the row's bits."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.fmin(1.0, c / row_norms(rows))
 
 

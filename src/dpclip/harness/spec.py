@@ -8,6 +8,8 @@ from dataclasses import dataclass, fields
 from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
+from ..privacy import PrivacyBudget
+
 
 class SpecValidationError(ValueError):
     """Bad experiment configuration; maps to exit code 1."""
@@ -28,9 +30,9 @@ class ExperimentSpec:
     it, and every value, from a flag or a direct call, is checked against it
     and stored as that type (a float field takes 10 as 10.0, a tuple field
     takes a list) before any command starts. No float may be infinite,
-    except where inf is the field's sentinel. The seeds, output path, DP-SGD
-    controls and test_csv's need of csv are checked here too; other fields
-    are validated by the command that reads them.
+    except where inf is the field's sentinel. The seeds, output path,
+    privacy budget, DP-SGD controls and test_csv's need of csv are checked
+    here too; other fields are validated by the command that reads them.
     """
 
     command: str
@@ -87,6 +89,13 @@ class ExperimentSpec:
             raise SpecValidationError("seeds must be nonempty")
         if self.master_seed < 0 or any(s < 0 for s in self.seeds):
             raise SpecValidationError("seeds must be nonnegative integers")
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:
+            raise SpecValidationError(f"seeds must be distinct; seed {repeated[0]} is repeated")
+        try:
+            PrivacyBudget(self.epsilon, self.delta)
+        except ValueError as exc:
+            raise SpecValidationError(str(exc)) from None
         if not self.out:
             raise SpecValidationError("an output path is required")
         if self.iterations < 1:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .clipping import clip_scales
+from .clipping import clip_scales, row_norms
 
 
 def _integer_labels(labels) -> np.ndarray:
@@ -30,14 +30,14 @@ def _integer_labels(labels) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Feature matrix with integer class labels."""
+    """Feature matrix, stored C-contiguous, with integer class labels."""
 
-    features: np.ndarray  # (n, d)
+    features: np.ndarray  # (n, d): every family sums a row in one order
     labels: np.ndarray  # (n,)
     bias_appended: bool = False
 
     def __post_init__(self):
-        self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
+        self.features = np.atleast_2d(np.ascontiguousarray(self.features, dtype=float))
         self.labels = _integer_labels(self.labels)
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels must have the same length")
@@ -251,16 +251,12 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
         raise ValueError("at least two classes required")
     if int(y.max()) >= m:
         raise ValueError("labels exceed the declared number of classes")
-    # the features are finite, but a row norm can still overflow. One block of
-    # rows is squared at a time, so the n x d square is never held whole; each
-    # block uses the expression np.linalg.norm(X, axis=1) evaluates, so the
-    # norms are bitwise its norms
+    # one block of rows at a time, so the n x d square is never held whole
     x_norms = np.empty(n)
+    for start in range(0, n, _ROW_BLOCK):
+        x_norms[start : start + _ROW_BLOCK] = row_norms(X[start : start + _ROW_BLOCK])
     with np.errstate(over="ignore"):
-        for start in range(0, n, _ROW_BLOCK):
-            Xb = X[start : start + _ROW_BLOCK]
-            x_norms[start : start + _ROW_BLOCK] = np.sqrt(np.add.reduce(Xb * Xb, axis=1))
-    lipschitz = math.sqrt(2.0) * x_norms
+        lipschitz = math.sqrt(2.0) * x_norms
     bad = ~np.isfinite(lipschitz)
     if np.any(bad):
         raise ValueError(
@@ -304,11 +300,12 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
         return np.einsum("mkb,bd->kbmd", P, Xb).reshape(K * B, m * d)
 
     # The norm row_norms gives a row and the bound ||P[:, k, b]|| ||x_b|| agree
-    # to within (m d + 4) eps / 2 while no square underflows, since both add
-    # only nonnegative squares. So a bound below tau / margin proves that the
-    # row's norm is at most tau and its scale exactly 1.0. Rows whose bound
-    # or ||P[:, k, b]|| is below 1e-100, where underflowed squares could hide
-    # a part of either norm, take the exact norm, as NaN rows do.
+    # to within (m d + 8) eps / 2 while no square underflows, since both add
+    # only nonnegative squares, rescaled by a largest entry past 1.3e154. So a
+    # bound below tau / margin proves that the row's norm is at most tau and
+    # its scale exactly 1.0. Rows whose bound or ||P[:, k, b]|| is below
+    # 1e-100, where underflowed squares could hide a part of either norm,
+    # take the exact norm, as NaN rows do.
     margin = 1.0 + max(1e-12, (m * d + 4) * np.finfo(float).eps)
 
     def clipped_sum(W: np.ndarray, idx: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -351,11 +348,11 @@ def geometric_median_problem(anchors: np.ndarray) -> Problem:
     n, d = A.shape
 
     def batch_loss(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(w - A[idx], axis=1)
+        return row_norms(w - A[idx])
 
     def batch_grad(W: np.ndarray, idx: np.ndarray) -> np.ndarray:
         delta = W[:, None, :] - A[idx]
-        norms = np.linalg.norm(delta, axis=2)
+        norms = row_norms(delta)
         out = np.zeros_like(delta)
         nz = norms > 0
         out[nz] = delta[nz] / norms[nz, None]
@@ -381,7 +378,7 @@ def sharpness_radius(anchors: np.ndarray, w_star: np.ndarray) -> float:
     centroid = A.mean(axis=0)
     return max(
         2.0 * float(np.linalg.norm(centroid - w_star)),
-        4.0 * float(np.mean(np.linalg.norm(A - centroid, axis=1))),
+        4.0 * float(np.mean(row_norms(A - centroid))),
     )
 
 
@@ -448,7 +445,7 @@ def hard_instance_problem(xs: np.ndarray) -> Problem:
     """
     X = np.atleast_2d(np.asarray(xs, dtype=float))
     n, d = X.shape
-    norms = np.linalg.norm(X, axis=1)
+    norms = row_norms(X)
 
     def batch_loss(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
         hinge = max(float(np.linalg.norm(w)) - 1.0, 0.0)
@@ -511,7 +508,7 @@ def heavy_tailed_logistic_dataset(
     if not (tail_k > 1):
         raise ValueError("tail_k must exceed 1")
     u = rng.normal(size=(n, d))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u /= row_norms(u)[:, None]
     if math.isinf(tail_k):
         r = np.ones(n)
     else:
@@ -539,7 +536,7 @@ def planted_logistic_dataset(
             f"need 0 < norm_low <= norm_high < inf, got {norm_low!r} and {norm_high!r}"
         )
     u = rng.normal(size=(n, d))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u /= row_norms(u)[:, None]
     r = np.exp(rng.uniform(math.log(norm_low), math.log(norm_high), size=n))
     X = u * r[:, None]
     return Dataset(X, _planted_labels(X, m, rng))

@@ -330,15 +330,19 @@ def test_cli_infinite_value_exits_1_before_any_work(monkeypatch, tmp_path, capsy
           "--batch", "10"], "dim"),
         (["phi-scaling", "--n-list", ""], "n_list"),
         (["bias-oracle", "--count", "0"], "count"),
+        (["sweep-clip", "--synthetic", "planted", "--n", "60", "--dim", "3",
+          "--iterations", "10", "--batch", "10", "--eta-grid", "0.3", "--seeds", "0,0,1"],
+         "seed 0"),
     ],
     ids=["bias-oracle-empty-p-list", "lower-bound-negative-dim", "lower-bound-zero-dim",
-         "phi-empty-n-list", "bias-oracle-zero-count"],
+         "phi-empty-n-list", "bias-oracle-zero-count", "sweep-repeated-seed"],
 )
 def test_cli_empty_or_out_of_range_field_exits_1_before_any_work(
     monkeypatch, tmp_path, capsys, argv, name
 ):
     # an empty --p-list ran 0 checks and passed; --dim -2 failed inside numpy
-    # and --dim 0 ran on an empty instance
+    # and --dim 0 ran on an empty instance; a repeated seed was run and
+    # averaged twice
     _forbid_work(monkeypatch, ("sample_Qv_many", "clipping_bias_exact",
                                "reference_minimum", "run_dp_sgd"))
     out = tmp_path / "x.csv"
@@ -346,6 +350,33 @@ def test_cli_empty_or_out_of_range_field_exits_1_before_any_work(
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and re.search(rf"\b{name}\b", err), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["sweep-clip", "--synthetic", "planted", "--epsilon", "0"],
+         "epsilon must be positive, got 0.0"),
+        (["rnmm-pipeline", "--synthetic", "planted", "--epsilon", "-1"],
+         "epsilon must be positive, got -1.0"),
+        (["lower-bound-demo", "--delta", "0"], "delta must be in (0, 1), got 0.0"),
+        (["sweep-clip", "--csv", str(DATA / "three_features.csv"), "--delta", "2"],
+         "delta must be in (0, 1), got 2.0"),
+    ],
+    ids=["sweep-zero-epsilon", "rnmm-negative-epsilon", "lower-bound-zero-delta",
+         "sweep-csv-delta-above-1"],
+)
+def test_cli_bad_privacy_budget_exits_1_before_any_data(
+    monkeypatch, tmp_path, private_cache_home, capsys, argv, cause
+):
+    # these failed only at noise calibration, after the data was generated,
+    # or the CSV parsed and its cache entry written
+    _forbid_work(monkeypatch, ("planted_logistic_dataset", "heavy_tailed_logistic_dataset",
+                               "load_dataset_csv", "sample_Qv_many", "run_dp_sgd"))
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"validation error: {cause}\n"
+    assert not out.exists() and not private_cache_home.exists()
 
 
 @pytest.mark.parametrize("command", ["sweep-clip", "rnmm-pipeline"])
@@ -483,7 +514,7 @@ def test_sweep_shares_draws_and_writes_the_bytes_of_one_run_per_call(monkeypatch
 
     argv = ["sweep-clip", "--synthetic", "planted", "--n", "600", "--dim", "4",
             "--iterations", "30", "--batch", "100", "--epsilon", "0.5",
-            "--seeds", "0,1,2,0", "--eta-grid", "0.1,0.3,1.0",
+            "--seeds", "0,1,2,3", "--eta-grid", "0.1,0.3,1.0",
             "--clip-candidates", "1e-200,p0,p100"]
     run = commands.run_dp_sgd
     calls = []
@@ -966,6 +997,32 @@ def test_cli_rejects_non_finite_input_before_running(tmp_path, capsys, bad_row, 
         err = capsys.readouterr().err
         assert all(cause in err for cause in causes), err
         assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::dpclip.privacy.PrivacyRegimeWarning")
+def test_cli_runs_on_a_row_whose_squares_overflow_but_whose_constant_is_finite(
+    tmp_path, capsys
+):
+    # a row scaled by 1e200 has a finite Lipschitz constant, so the sweep runs;
+    # clipping at p100, that constant, overflows the noise variance instead
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(200, 3))
+    y = (X[:, 0] > 0).astype(int)
+    X[7] *= 1e200
+    train = tmp_path / "train.csv"
+    np.savetxt(train, np.column_stack([X, y]), fmt=["%.17g"] * 3 + ["%d"], delimiter=",")
+    out = tmp_path / "out.csv"
+    args = ["sweep-clip", "--csv", str(train), "--append-bias", "--batch", "20",
+            "--iterations", "50", "--eta-grid", "0.1,1", "--seeds", "0,1", "--out", str(out)]
+    assert main([*args, "--clip-candidates", "p0,p50,p99"]) == 0
+    rows = [row.split(",") for row in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(v)) for row in rows for v in (row[0], *row[2:]))
+    out.unlink()
+    assert main([*args, "--clip-candidates", "p0,p100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: noise variance is inf at epsilon = 2.0, tau = "), err
+    assert err.rstrip().endswith("e+200") and not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from dpclip import _dataset_csv, losses
+from dpclip.clipping import row_norms
 from dpclip.losses import (
     Dataset,
     Problem,
@@ -277,6 +279,36 @@ def test_csv_cache_rewrite_with_same_size_and_mtime_is_parsed_again(
     assert len(_cache_entries(private_cache_home)) == 2
 
 
+def test_csv_cache_keeps_the_most_recently_used_entries(tmp_path, private_cache_home):
+    cache = private_cache_home / "dpclip"
+    cache.mkdir(parents=True)
+    # an older tag's entry counts against the bound; other files are not entries
+    (cache / "loadtxt0-stale.npy").write_bytes(b"")
+    (cache / "notes.txt").write_bytes(b"")
+    start = time.time() - 3600
+    os.utime(cache / "loadtxt0-stale.npy", (start, start))
+
+    def load(i):
+        path = tmp_path / f"data{i}.csv"
+        path.write_text(f"{i}.0,2.0,0\n", encoding="utf-8")
+        load_dataset_csv(path)
+        return f"{_dataset_csv.TAG}-{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
+
+    # each load is back-dated by a distinct second after it runs, so the order
+    # of use does not rest on the file system's timestamp resolution
+    names = []
+    for i in range(10):
+        names.append(load(i))
+        os.utime(cache / names[i], (start + 1 + i, start + 1 + i))
+    assert _dataset_csv.KEEP == 8
+    assert _cache_entries(private_cache_home) == sorted([*names[2:], "notes.txt"])
+    # a hit refreshes its entry, so the next new entry deletes the one after it
+    assert load(2) == names[2]
+    newest = load(10)
+    kept = [names[2], *names[4:], newest, "notes.txt"]
+    assert _cache_entries(private_cache_home) == sorted(kept)
+
+
 @pytest.mark.parametrize(
     "spoil",
     [
@@ -513,6 +545,13 @@ def test_logistic_row_norms_are_bitwise_linalg_norm_across_blocks(order):
     ds = Dataset(np.asarray(features, order=order), rng.integers(0, 3, n))
     expected = math.sqrt(2.0) * np.linalg.norm(ds.features, axis=1)
     assert np.array_equal(logistic_problem(ds, 3).lipschitz, expected)
+
+    # a row whose squares overflow but whose constant is finite is rescaled
+    features[n - 2] *= 1e200
+    ds = Dataset(np.asarray(features, order=order), ds.labels)
+    lipschitz = logistic_problem(ds, 3).lipschitz
+    assert np.isfinite(lipschitz[n - 2]) and lipschitz[n - 2] > 1e200
+    assert np.array_equal(lipschitz, math.sqrt(2.0) * row_norms(ds.features))
 
     # an overflowing row in a later block is named as before, without a warning
     features[n - 2] = 1e308

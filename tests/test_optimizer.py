@@ -543,7 +543,8 @@ def _assert_clipped_sum_bitwise(prob, W, idx, taus):
 def test_clipped_sum_is_bitwise_the_generic_path(m):
     # every shape of the grid and every kind of threshold: none, all, some or
     # one row clipped, and a threshold at or one ulp below a row's norm. A
-    # zero feature column (every row of it when d = 1) gives -0.0 products
+    # zero feature column (every row of it when d = 1) gives -0.0 products,
+    # and rows scaled by 1e150-1e300 have norms that row_norms rescales
     rng = np.random.default_rng(100 + m)
     n = 600
     cases = 0
@@ -551,6 +552,7 @@ def test_clipped_sum_is_bitwise_the_generic_path(m):
         ds = planted_logistic_dataset(n, d, m, rng, 0.05, 50.0)
         X = ds.features.copy()
         X[:, 0] = np.where(np.arange(n) % 5 == 0, 0.0, X[:, 0]) if d == 1 else 0.0
+        X[3::50] *= 10.0 ** rng.uniform(150, 300, size=(len(X[3::50]), 1))
         prob = logistic_problem(Dataset(X, ds.labels), m)
         G_min, G_max = float(prob.lipschitz[prob.lipschitz > 0].min()), float(prob.lipschitz.max())
         for B in (0, 1, 2, 100, 500):
