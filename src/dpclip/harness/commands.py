@@ -16,7 +16,7 @@ from ..clipping import (
     bias_bound_lemma,
     clipping_bias_exact,
 )
-from ..lipschitz import LipschitzProfile, build_profile, percentile
+from ..lipschitz import build_profile, percentile
 from ..losses import (
     Dataset,
     Problem,
@@ -33,7 +33,7 @@ from ..optimizer import DpSgdConfig, run_dp_sgd, schedule_unconstrained_convex
 from ..optimizer import reference_minimum  # noqa: F401
 from ..privacy import PrivacyBudget, compute_phi, noise_variance, report_noisy_max
 from .io import write_csv
-from .spec import ExperimentSpec, OracleFailure, SpecValidationError
+from .spec import ExperimentSpec, OracleFailure, SpecValidationError, clip_candidate
 
 # sub-stream tags so dataset generation, selection noise and runs never share draws
 _TAG_PLANTED = 11
@@ -61,19 +61,23 @@ def _dataset_from_spec(spec: ExperimentSpec, *key: int) -> tuple[Dataset, Datase
             test = load_dataset_csv(spec.test_csv, append_bias=spec.append_bias)
             if test.dim != train.dim:
                 raise SpecValidationError("train/test feature dimensions differ")
+        if spec.batch > train.n:
+            raise SpecValidationError(f"batch {spec.batch} exceeds dataset size {train.n}")
         return train, test
+    if spec.synthetic is None:
+        raise SpecValidationError("provide --csv PATH or --synthetic {planted,heavy}")
+    if spec.batch > spec.n:
+        raise SpecValidationError(f"batch {spec.batch} exceeds dataset size {spec.n}")
     if spec.synthetic == "planted":
         rng = np.random.default_rng([spec.master_seed, _TAG_PLANTED])
         train = planted_logistic_dataset(
             spec.n, spec.dim, spec.classes, rng, spec.norm_low, spec.norm_high
         )
-    elif spec.synthetic == "heavy":
+    else:
         rng = np.random.default_rng([spec.master_seed, _TAG_HEAVY, *key])
         train = heavy_tailed_logistic_dataset(
             spec.n, spec.dim, spec.classes, spec.tail_k, rng
         )
-    else:
-        raise SpecValidationError("provide --csv PATH or --synthetic {planted,heavy}")
     if spec.append_bias:
         train = train.with_bias()
     return train, None
@@ -85,10 +89,7 @@ def _build_problem(spec: ExperimentSpec, *key: int) -> tuple[Problem, Dataset | 
     m = train.num_classes if spec.csv is not None else spec.classes
     if test is not None:
         m = max(m, test.num_classes)
-    problem = logistic_problem(train, m)
-    if spec.batch > train.n:
-        raise SpecValidationError(f"batch {spec.batch} exceeds dataset size {train.n}")
-    return problem, test
+    return logistic_problem(train, m), test
 
 
 def _metric_value(problem: Problem, test: Dataset | None, w: np.ndarray) -> float:
@@ -108,8 +109,6 @@ def _metric_value(problem: Problem, test: Dataset | None, w: np.ndarray) -> floa
 def _sigma_sq_for(spec: ExperimentSpec, tau: float, problem: Problem) -> float:
     if spec.no_noise:
         return 0.0
-    if math.isinf(tau):
-        raise SpecValidationError("an infinite clip norm requires --no-noise")
     budget = PrivacyBudget(spec.epsilon, spec.delta)
     return noise_variance(
         spec.iterations, tau, problem.n, budget, problem.dim, expected_batch=spec.batch
@@ -179,44 +178,16 @@ def _sweep(
     return _best_over_eta(test, spec, taus, metrics.reshape(len(taus), len(spec.eta_grid), -1))
 
 
-def resolve_candidates(
-    tokens: tuple[str, ...], profile: LipschitzProfile
-) -> list[tuple[str, str, float]]:
-    """Map candidate tokens to (token, kind, clip norm).
-
-    "pQ" resolves against the Lipschitz profile's nearest-rank percentile Q;
-    anything else parses as a positive value, absolute when finite and the
-    no-clipping sentinel ("inf", "+inf", "1e999", ...) when infinite.
-    """
-    if not tokens:
-        raise SpecValidationError("clip candidate list must be nonempty")
-    out = []
-    for token in tokens:
-        t = token.strip()
-        if t.lower().startswith("p"):
-            try:
-                q = float(t[1:])
-            except ValueError:
-                raise SpecValidationError(f"bad percentile token: {token!r}")
-            out.append((t, "percentile", percentile(profile, q)))
-            continue
-        try:
-            value = float(t)
-        except ValueError:
-            raise SpecValidationError(f"bad clip candidate: {token!r}")
-        if not value > 0:
-            raise SpecValidationError(f"clip candidates must be positive: {token!r}")
-        out.append((t, "infinite" if math.isinf(value) else "absolute", value))
-    return out
-
-
 def cmd_sweep_clip(spec: ExperimentSpec) -> SweepReport:
     """Best-over-eta metric per clip-norm candidate, averaged over seeds."""
     problem, test = _build_problem(spec)
     profile = build_profile(problem)
-    candidates = resolve_candidates(spec.clip_candidates, profile)
-    results = _sweep(problem, test, spec, [tau for _, _, tau in candidates])
-    rows = [[tau, kind, *stats] for (_, kind, tau), stats in zip(candidates, results)]
+    candidates = [
+        (kind, percentile(profile, value) if kind == "percentile" else value)
+        for kind, value in map(clip_candidate, spec.clip_candidates)
+    ]
+    results = _sweep(problem, test, spec, [tau for _, tau in candidates])
+    rows = [[tau, kind, *stats] for (kind, tau), stats in zip(candidates, results)]
     if test is not None:
         metric_kind = "accuracy"
     else:  # inf f = 0 is certified only for the generators' planted labels
@@ -246,8 +217,6 @@ def cmd_rnmm_pipeline(spec: ExperimentSpec) -> dict:
     problem, test = _build_problem(spec)
     profile = build_profile(problem)
     clamp = spec.rnmm_clamp if spec.rnmm_clamp is not None else percentile(profile, 99.9)
-    if not clamp > 0:
-        raise SpecValidationError(f"rnmm clamp bound must be positive, got {clamp!r}")
     clamped = np.minimum(problem.lipschitz, clamp)
     rng = np.random.default_rng([spec.master_seed, _TAG_RNMM])
     selected = report_noisy_max(-clamped, spec.eps_rnmm, clamp, rng)
@@ -283,14 +252,10 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
     schedule, with the moment bound G estimated non-privately from the
     empirical k-th moment of the per-sample constants.
     """
-    if not spec.n_list:
-        raise SpecValidationError("phi-scaling requires a nonempty n_list")
     if spec.synthetic not in (None, "heavy"):
         raise SpecValidationError("phi-scaling runs heavy-tailed data: --synthetic heavy")
     if spec.batch > min(spec.n_list):
         raise SpecValidationError(f"batch {spec.batch} exceeds n={min(spec.n_list)}")
-    if not spec.moment_k > 1:
-        raise SpecValidationError("moment order k must exceed 1")
     budget = PrivacyBudget(spec.epsilon, spec.delta)
     k = spec.moment_k
     # every size's schedule and noise first, so a size that cannot be run
@@ -324,12 +289,6 @@ def cmd_bias_oracle(spec: ExperimentSpec) -> bool:
     margin below -1e-9 times max(1, largest atom norm, tau), or any NaN
     margin, fails the oracle (exit code 2).
     """
-    if spec.count < 1:
-        raise SpecValidationError("count must be >= 1")
-    if not spec.p_list:
-        raise SpecValidationError("bias-oracle requires a nonempty p_list")
-    if any(not p > 1 for p in spec.p_list):
-        raise SpecValidationError("all moment orders p must exceed 1")
     rng = np.random.default_rng([spec.master_seed, _TAG_BIAS])
     tau_fractions = (0.05, 0.15, 0.3, 0.5, 0.75, 1.0, 1.1)
     rows = []

@@ -30,9 +30,9 @@ class ExperimentSpec:
     it, and every value, from a flag or a direct call, is checked against it
     and stored as that type (a float field takes 10 as 10.0, a tuple field
     takes a list) before any command starts. No float may be infinite,
-    except where inf is the field's sentinel. The seeds, output path,
-    privacy budget, DP-SGD controls and test_csv's need of csv are checked
-    here too; other fields are validated by the command that reads them.
+    except where inf is the field's sentinel. Every rule that reads only
+    field values is checked here too, for every command; a command checks
+    only its own needs and what needs its data.
     """
 
     command: str
@@ -106,6 +106,49 @@ class ExperimentSpec:
             raise SpecValidationError("eta grid must be nonempty and nonnegative")
         if self.test_csv is not None and self.csv is None:
             raise SpecValidationError("test_csv is a held-out split of --csv data; give --csv too")
+        if self.csv is not None and self.synthetic is not None:
+            raise SpecValidationError("give --csv or --synthetic, not both")
+        if not self.clip_candidates:
+            raise SpecValidationError("clip candidate list must be nonempty")
+        kinds = {clip_candidate(token)[0] for token in self.clip_candidates}
+        if "infinite" in kinds and not self.no_noise:
+            raise SpecValidationError("an infinite clip norm requires --no-noise")
+        if self.rnmm_clamp is not None and not self.rnmm_clamp > 0:
+            raise SpecValidationError(
+                f"rnmm clamp bound must be positive, got {self.rnmm_clamp!r}"
+            )
+        if not self.n_list:
+            raise SpecValidationError("phi-scaling requires a nonempty n_list")
+        if not self.moment_k > 1:
+            raise SpecValidationError("moment order k must exceed 1")
+        if self.count < 1:
+            raise SpecValidationError("count must be >= 1")
+        if not self.p_list:
+            raise SpecValidationError("bias-oracle requires a nonempty p_list")
+        if any(not p > 1 for p in self.p_list):
+            raise SpecValidationError("all moment orders p must exceed 1")
+
+
+def clip_candidate(token: str) -> tuple[str, float]:
+    """A clip-candidate token as ("percentile", Q) for "pQ" with Q in [0, 100],
+    else a positive value: ("absolute", v) when finite, and the no-clipping
+    sentinel ("infinite", inf) for "inf", "+inf", "1e999", ..."""
+    t = token.strip()
+    if t.lower().startswith("p"):
+        try:
+            q = float(t[1:])
+        except ValueError:
+            raise SpecValidationError(f"bad percentile token: {token!r}") from None
+        if not 0 <= q <= 100:
+            raise SpecValidationError(f"percentile must lie in [0, 100], got {q}")
+        return "percentile", q
+    try:
+        value = float(t)
+    except ValueError:
+        raise SpecValidationError(f"bad clip candidate: {token!r}") from None
+    if not value > 0:
+        raise SpecValidationError(f"clip candidates must be positive: {token!r}")
+    return ("infinite" if math.isinf(value) else "absolute"), value
 
 
 _TYPES = get_type_hints(ExperimentSpec)

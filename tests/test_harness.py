@@ -21,10 +21,9 @@ from dpclip.harness.commands import (
     cmd_phi_scaling,
     cmd_rnmm_pipeline,
     cmd_sweep_clip,
-    resolve_candidates,
 )
-from dpclip.harness.spec import ExperimentSpec, SpecValidationError
-from dpclip.lipschitz import LipschitzProfile
+from dpclip.harness.spec import ExperimentSpec, SpecValidationError, clip_candidate
+from dpclip.lipschitz import LipschitzProfile, percentile
 from dpclip.losses import (
     heavy_tailed_logistic_dataset,
     logistic_problem,
@@ -60,17 +59,20 @@ def _tiny_spec(command, out, **kw):
     return ExperimentSpec(**base)
 
 
-def test_resolve_candidates():
+def test_clip_candidate():
     infinite = ("inf", "+inf", "Infinity", "1e999")
-    resolved = resolve_candidates(("p0", "p100", "2.5", *infinite), PROFILE)
-    assert resolved[0] == ("p0", "percentile", 1.0)
-    assert resolved[1] == ("p100", "percentile", 8.0)
-    assert resolved[2] == ("2.5", "absolute", 2.5)
+    assert clip_candidate("p0") == ("percentile", 0.0)
+    assert clip_candidate("p100") == ("percentile", 100.0)
+    assert [percentile(PROFILE, q) for q in (0.0, 100.0)] == [1.0, 8.0]
+    assert clip_candidate("2.5") == ("absolute", 2.5)
     # every token that parses to an infinite clip norm is the sentinel
-    assert resolved[3:] == [(t, "infinite", math.inf) for t in infinite]
-    for bad in (("pxyz",), ("-1.0",), ("nan",), ("p150",), ()):
-        with pytest.raises((SpecValidationError, ValueError)):
-            resolve_candidates(bad, PROFILE)
+    assert [clip_candidate(t) for t in infinite] == [("infinite", math.inf)] * len(infinite)
+    for bad in ("pxyz", "-1.0", "nan", "p150"):
+        with pytest.raises(SpecValidationError):
+            clip_candidate(bad)
+    # an empty candidate list fails when the spec is built
+    with pytest.raises(SpecValidationError):
+        ExperimentSpec(command="sweep-clip", out="x.csv", clip_candidates=())
 
 
 def test_spec_validation():
@@ -80,6 +82,24 @@ def test_spec_validation():
         ExperimentSpec(command="sweep-clip", out="x.csv", seeds=(-1,))
     with pytest.raises(SpecValidationError):
         ExperimentSpec(command="sweep-clip", out="")
+    # every rule that reads only flag values holds for every command's spec
+    for bad, message in (
+        (dict(clip_candidates=()), "clip candidate list must be nonempty"),
+        (dict(clip_candidates=("p0", "p101")), r"percentile must lie in \[0, 100\], got 101.0"),
+        (dict(clip_candidates=("inf",)), "an infinite clip norm requires --no-noise"),
+        (dict(rnmm_clamp=0.0), "rnmm clamp bound must be positive, got 0.0"),
+        (dict(n_list=()), "phi-scaling requires a nonempty n_list"),
+        (dict(moment_k=1.0), "moment order k must exceed 1"),
+        (dict(count=0), "count must be >= 1"),
+        (dict(p_list=()), "bias-oracle requires a nonempty p_list"),
+        (dict(p_list=(2.0, 1.0)), "all moment orders p must exceed 1"),
+    ):
+        for command in COMMANDS:
+            with pytest.raises(SpecValidationError, match=f"^{message}$"):
+                ExperimentSpec(command=command, out="x.csv", **bad)
+    # a direct call that names two data sources ran on the CSV alone
+    with pytest.raises(SpecValidationError, match="give --csv or --synthetic, not both"):
+        ExperimentSpec(command="sweep-clip", out="x.csv", csv="train.csv", synthetic="planted")
     # DP-SGD controls fail at construction, not after the reference oracle
     for bad in (dict(iterations=0), dict(batch=0.0), dict(batch=-5.0),
                 dict(eta_grid=()), dict(eta_grid=(0.1, -0.1))):
@@ -249,6 +269,8 @@ def _forbid_work(monkeypatch, names):
          "provide --csv PATH or --synthetic"),
         ("sweep-clip", dict(batch=121.0), SpecValidationError,
          "batch 121.0 exceeds dataset size 120"),
+        ("sweep-clip", dict(synthetic=None, csv=str(DATA / "three_features.csv")),
+         SpecValidationError, "batch 20.0 exceeds dataset size 3"),
         ("sweep-clip", dict(clip_candidates=("p50", "abc")), SpecValidationError,
          "bad clip candidate: 'abc'"),
     ],
@@ -257,7 +279,7 @@ def _forbid_work(monkeypatch, names):
          "lower-bound-batch-over-n", "bias-oracle-p-nan", "sweep-epsilon-underflow",
          "sweep-epsilon-sigma-overflow", "phi-epsilon-phi-overflow",
          "phi-later-n-fails-first", "sweep-csv-widths-differ", "sweep-no-data-source",
-         "sweep-batch-over-n", "sweep-bad-clip-candidate"],
+         "sweep-batch-over-n", "sweep-csv-batch-over-rows", "sweep-bad-clip-candidate"],
 )
 @pytest.mark.filterwarnings("ignore:phi = .* >= 1")  # a tiny epsilon makes phi huge
 def test_invalid_input_fails_before_any_run(
@@ -333,23 +355,41 @@ def test_cli_infinite_value_exits_1_before_any_work(monkeypatch, tmp_path, capsy
         (["sweep-clip", "--synthetic", "planted", "--n", "60", "--dim", "3",
           "--iterations", "10", "--batch", "10", "--eta-grid", "0.3", "--seeds", "0,0,1"],
          "seed 0"),
+        (["sweep-clip", "--csv", str(DATA / "three_features.csv"),
+          "--clip-candidates", "p0,p101"], "percentile"),
+        (["sweep-clip", "--csv", str(DATA / "three_features.csv"),
+          "--clip-candidates", "pxyz"], "pxyz"),
+        (["sweep-clip", "--csv", str(DATA / "three_features.csv"),
+          "--clip-candidates", "-1"], "clip candidates"),
+        (["sweep-clip", "--csv", str(DATA / "three_features.csv"),
+          "--clip-candidates", "p0,inf"], "no-noise"),
+        (["rnmm-pipeline", "--synthetic", "planted", "--eps-rnmm", "0.5",
+          "--rnmm-clamp", "0"], "rnmm clamp bound"),
+        (["sweep-clip", "--synthetic", "planted", "--n", "100", "--batch", "200"],
+         "exceeds dataset size 100"),
     ],
     ids=["bias-oracle-empty-p-list", "lower-bound-negative-dim", "lower-bound-zero-dim",
-         "phi-empty-n-list", "bias-oracle-zero-count", "sweep-repeated-seed"],
+         "phi-empty-n-list", "bias-oracle-zero-count", "sweep-repeated-seed",
+         "sweep-csv-percentile-over-100", "sweep-csv-bad-percentile-token",
+         "sweep-csv-negative-candidate", "sweep-csv-inf-without-no-noise",
+         "rnmm-zero-clamp", "sweep-synthetic-batch-over-n"],
 )
 def test_cli_empty_or_out_of_range_field_exits_1_before_any_work(
-    monkeypatch, tmp_path, capsys, argv, name
+    monkeypatch, tmp_path, private_cache_home, capsys, argv, name
 ):
     # an empty --p-list ran 0 checks and passed; --dim -2 failed inside numpy
     # and --dim 0 ran on an empty instance; a repeated seed was run and
-    # averaged twice
-    _forbid_work(monkeypatch, ("sample_Qv_many", "clipping_bias_exact",
+    # averaged twice; a bad clip candidate or clamp, or a batch above the
+    # synthetic n, failed only after the data was generated, or the CSV
+    # parsed and its cache entry written
+    _forbid_work(monkeypatch, ("planted_logistic_dataset", "heavy_tailed_logistic_dataset",
+                               "load_dataset_csv", "sample_Qv_many", "clipping_bias_exact",
                                "reference_minimum", "run_dp_sgd"))
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and re.search(rf"\b{name}\b", err), err
-    assert not out.exists()
+    assert not out.exists() and not private_cache_home.exists()
 
 
 @pytest.mark.parametrize(
