@@ -51,23 +51,29 @@ class SweepReport:
     rows: list[list]  # CSV rows (tau, tau_kind, eta_best, mean, std)
 
 
-def _dataset_from_spec(spec: ExperimentSpec, *key: int) -> tuple[Dataset, Dataset | None]:
-    """The spec's training data and held-out split; ``key`` extends the seed of
-    the heavy-tailed generator, so each phi-scaling size draws its own data."""
+def _check_fits(batch: float, n: int) -> None:
+    """The one rule for a batch and its data: a batch may not exceed n rows."""
+    if batch > n:
+        raise SpecValidationError(f"batch {batch} exceeds dataset size {n}")
+
+
+def _build_problem(spec: ExperimentSpec, *key: int) -> tuple[Problem, Dataset | None]:
+    """The logistic problem on the spec's data and the held-out split, if any;
+    ``key`` extends the seed of the heavy-tailed generator, so each
+    phi-scaling size draws its own data."""
     if spec.csv is not None:
         train = load_dataset_csv(spec.csv, append_bias=spec.append_bias)
-        test = None
+        test, m = None, train.num_classes
         if spec.test_csv is not None:
             test = load_dataset_csv(spec.test_csv, append_bias=spec.append_bias)
             if test.dim != train.dim:
                 raise SpecValidationError("train/test feature dimensions differ")
-        if spec.batch > train.n:
-            raise SpecValidationError(f"batch {spec.batch} exceeds dataset size {train.n}")
-        return train, test
+            m = max(m, test.num_classes)
+        _check_fits(spec.batch, train.n)
+        return logistic_problem(train, m), test
     if spec.synthetic is None:
         raise SpecValidationError("provide --csv PATH or --synthetic {planted,heavy}")
-    if spec.batch > spec.n:
-        raise SpecValidationError(f"batch {spec.batch} exceeds dataset size {spec.n}")
+    _check_fits(spec.batch, spec.n)
     if spec.synthetic == "planted":
         rng = np.random.default_rng([spec.master_seed, _TAG_PLANTED])
         train = planted_logistic_dataset(
@@ -80,16 +86,7 @@ def _dataset_from_spec(spec: ExperimentSpec, *key: int) -> tuple[Dataset, Datase
         )
     if spec.append_bias:
         train = train.with_bias()
-    return train, None
-
-
-def _build_problem(spec: ExperimentSpec, *key: int) -> tuple[Problem, Dataset | None]:
-    """The logistic problem on the spec's data and the held-out split, if any."""
-    train, test = _dataset_from_spec(spec, *key)
-    m = train.num_classes if spec.csv is not None else spec.classes
-    if test is not None:
-        m = max(m, test.num_classes)
-    return logistic_problem(train, m), test
+    return logistic_problem(train, spec.classes), None
 
 
 def _metric_value(problem: Problem, test: Dataset | None, w: np.ndarray) -> float:
@@ -254,8 +251,7 @@ def cmd_phi_scaling(spec: ExperimentSpec) -> list[list]:
     """
     if spec.synthetic not in (None, "heavy"):
         raise SpecValidationError("phi-scaling runs heavy-tailed data: --synthetic heavy")
-    if spec.batch > min(spec.n_list):
-        raise SpecValidationError(f"batch {spec.batch} exceeds n={min(spec.n_list)}")
+    _check_fits(spec.batch, min(spec.n_list))
     budget = PrivacyBudget(spec.epsilon, spec.delta)
     k = spec.moment_k
     # every size's schedule and noise first, so a size that cannot be run
@@ -344,8 +340,7 @@ def cmd_lower_bound_demo(spec: ExperimentSpec) -> list[list]:
     d = spec.dim
     if d < 2 or d % 2 != 0:
         raise SpecValidationError(f"lower-bound-demo requires an even dim >= 2, got {d}")
-    if spec.batch > spec.n:
-        raise SpecValidationError(f"batch {spec.batch} exceeds n={spec.n}")
+    _check_fits(spec.batch, spec.n)
     k = spec.moment_k
     rng = np.random.default_rng([spec.master_seed, _TAG_QV])
     v = np.zeros(d)

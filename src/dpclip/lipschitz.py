@@ -34,8 +34,13 @@ class LipschitzProfile:
 def build_profile(problem: Problem) -> LipschitzProfile:
     """Sort the per-sample constants ascending; ties keep index order."""
     g = np.asarray(problem.lipschitz, dtype=float)
-    if not np.all(np.isfinite(g) & (g > 0)):
-        raise ValueError("per-sample Lipschitz constants must be finite and positive")
+    bad = ~(np.isfinite(g) & (g > 0))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"per-sample Lipschitz constant {float(g[i])!r} at index {i}"
+            " must be finite and positive"
+        )
     return LipschitzProfile(g=np.sort(g, kind="stable"))
 
 
@@ -56,12 +61,14 @@ def percentile(profile: LipschitzProfile, q: float) -> float:
     return float(profile.g[rank - 1])
 
 
+MIN_GAP = 1e-8  # alpha_estimate skips a sampled w whose mean gap is at most this
+
+
 def alpha_estimate(
     problem: Problem,
     profile: LipschitzProfile,
     tau: float,
     w_samples: list[np.ndarray],
-    min_gap: float = 1e-8,
 ) -> float:
     """Sampled upper bound on the clipped-to-unclipped suboptimality ratio.
 
@@ -71,7 +78,7 @@ def alpha_estimate(
 
     is at least 1, non-increasing in tau and constant for tau <= G_1; the
     returned minimum over samples inherits those properties. Points whose
-    mean per-sample gap is at most ``min_gap`` are treated as minimizers and
+    mean per-sample gap is at most ``MIN_GAP`` are treated as minimizers and
     skipped (the true infimum excludes minimizers exactly, which is not
     decidable numerically).
     """
@@ -89,7 +96,7 @@ def alpha_estimate(
     best = math.inf
     for w in w_samples:
         gaps = problem.losses_at(w) - problem.per_sample_min
-        if float(gaps.mean()) <= min_gap:
+        if float(gaps.mean()) <= MIN_GAP:
             continue
         numer = float((coeff * gaps).mean())
         denom = float((gaps * inv_g_max).mean())

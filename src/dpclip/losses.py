@@ -476,19 +476,26 @@ def hard_instance_problem(xs: np.ndarray) -> Problem:
 # ---------------------------------------------------------------------------
 
 
-def _planted_labels(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    # noiseless linear rule: labels are exactly realisable, so the relaxed
-    # interpolation condition holds by construction
-    w_true = rng.normal(size=(m, X.shape[1]))
-    return np.argmax(X @ w_true.T, axis=1)
-
-
 def _check_sizes(n: int, d: int, m: int) -> None:
     for name, value, low in (
         ("n (samples)", n, 1), ("d (features)", d, 1), ("m (classes)", m, 2)
     ):
         if not value >= low:
             raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
+def _radial_dataset(
+    n: int, d: int, m: int, rng: np.random.Generator, radii: Callable[[], np.ndarray]
+) -> Dataset:
+    """Features r * u: the n unit directions u are drawn first, then the n
+    radii by ``radii()``, then the planted labels, all from ``rng``."""
+    u = rng.normal(size=(n, d))
+    u /= row_norms(u)[:, None]
+    X = u * radii()[:, None]
+    # noiseless linear rule: labels are exactly realisable, so the relaxed
+    # interpolation condition holds by construction
+    w_true = rng.normal(size=(m, d))
+    return Dataset(X, np.argmax(X @ w_true.T, axis=1))
 
 
 def heavy_tailed_logistic_dataset(
@@ -507,14 +514,9 @@ def heavy_tailed_logistic_dataset(
     _check_sizes(n, d, m)
     if not (tail_k > 1):
         raise ValueError("tail_k must exceed 1")
-    u = rng.normal(size=(n, d))
-    u /= row_norms(u)[:, None]
     if math.isinf(tail_k):
-        r = np.ones(n)
-    else:
-        r = 1.0 + rng.pareto(tail_k + 1.0, size=n)
-    X = u * r[:, None]
-    return Dataset(X, _planted_labels(X, m, rng))
+        return _radial_dataset(n, d, m, rng, lambda: np.ones(n))
+    return _radial_dataset(n, d, m, rng, lambda: 1.0 + rng.pareto(tail_k + 1.0, size=n))
 
 
 def planted_logistic_dataset(
@@ -535,8 +537,5 @@ def planted_logistic_dataset(
         raise ValueError(
             f"need 0 < norm_low <= norm_high < inf, got {norm_low!r} and {norm_high!r}"
         )
-    u = rng.normal(size=(n, d))
-    u /= row_norms(u)[:, None]
-    r = np.exp(rng.uniform(math.log(norm_low), math.log(norm_high), size=n))
-    X = u * r[:, None]
-    return Dataset(X, _planted_labels(X, m, rng))
+    low, high = math.log(norm_low), math.log(norm_high)
+    return _radial_dataset(n, d, m, rng, lambda: np.exp(rng.uniform(low, high, size=n)))

@@ -254,6 +254,21 @@ def test_corollary_bound_cases():
     assert bias_bound_corollary(hidden, 3.0, 5000.0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "bound, tau, p, message",
+    [
+        (bias_bound_lemma, 1.0, 1.0, "p must be > 1"),
+        (bias_bound_corollary, 1.0, 0.5, "p must be > 1"),
+        (bias_bound_corollary, 0.0, 2.0, "tau must be positive"),
+        (bias_bound_corollary, -1.0, 2.0, "tau must be positive"),
+    ],
+    ids=["lemma-p-1", "corollary-p-below-1", "corollary-tau-0", "corollary-tau-negative"],
+)
+def test_bias_bounds_reject_an_order_or_threshold_out_of_range(bound, tau, p, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bound(TWO_ATOM, tau, p)
+
+
 def test_bound_chain_on_random_distributions():
     rng = np.random.default_rng(10)
     for _ in range(60):

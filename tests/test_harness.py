@@ -244,11 +244,11 @@ def _forbid_work(monkeypatch, names):
         ("rnmm-pipeline", dict(eps_rnmm=-math.inf), SpecValidationError,
          "need 0 < eps_rnmm < eps_total"),
         ("phi-scaling", dict(synthetic="heavy", n_list=(600, 20), batch=30.0),
-         SpecValidationError, "exceeds n=20"),
+         SpecValidationError, "batch 30.0 exceeds dataset size 20"),
         ("phi-scaling", dict(synthetic="heavy", n_list=(150,), moment_k=0.0),
          SpecValidationError, "k must exceed 1"),
         ("lower-bound-demo", dict(synthetic=None, dim=2, n=10, batch=50.0),
-         SpecValidationError, "exceeds n=10"),
+         SpecValidationError, "batch 50.0 exceeds dataset size 10"),
         ("bias-oracle", dict(p_list=(2.0, math.nan)), SpecValidationError,
          "all moment orders p must exceed 1"),
         # a tiny epsilon underflows (n eps)^2 to 0, or overflows sigma^2 or phi^2
@@ -1022,12 +1022,16 @@ def test_benchmark_hooks_reach_their_layers(tmp_path):
     [
         ("nan,1.0,1", ["non-finite feature in row 1"]),
         ("1e308,1e308,1", ["row 1", "must be finite"]),
+        # without --append-bias an all-zero row's constant is 0
+        ("0.0,0.0,1",
+         ["per-sample Lipschitz constant 0.0 at index 1 must be finite and positive"]),
     ],
-    ids=["nan-feature", "overflowing-norm"],
+    ids=["nan-feature", "overflowing-norm", "all-zero-row"],
 )
 def test_cli_rejects_non_finite_input_before_running(tmp_path, capsys, bad_row, causes):
-    # a NaN feature, or a finite row whose Lipschitz constant overflows, fails
-    # at set-up with exit code 1, names the row and writes no result
+    # a NaN feature, a finite row whose Lipschitz constant overflows, or a row
+    # whose constant is 0 fails at set-up with exit code 1, names the row and
+    # writes no result
     train = tmp_path / "train.csv"
     train.write_text("0.5,-1.0,0\n" + bad_row + "\n2.0,0.25,1\n", encoding="utf-8")
     out = tmp_path / "out.csv"

@@ -141,6 +141,13 @@ def test_alpha_nonincreasing_in_tau():
     assert all(a >= b - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
 
+def test_alpha_needs_per_sample_minima():
+    prob = _scaled_two_sample_problem()
+    prob.per_sample_min = None
+    with pytest.raises(ValueError, match="^problem does not expose per-sample minima$"):
+        alpha_estimate(prob, build_profile(prob), 1.0, [np.zeros(1)])
+
+
 def test_alpha_errors():
     prob = _scaled_two_sample_problem()
     profile = build_profile(prob)

@@ -422,6 +422,27 @@ def test_logistic_shape_errors():
         logistic_grad(np.zeros(4), np.zeros(2), 3)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Dataset(np.ones((0, 2)), np.zeros(0, dtype=int)),
+         "dataset must contain at least one sample"),
+        (lambda: logistic_loss(np.zeros(2), np.ones(2), 0), "at least two classes required"),
+        (lambda: logistic_problem(Dataset(np.ones((2, 2)), [0, 0])),
+         "at least two classes required"),
+        (lambda: logistic_problem(Dataset(np.ones((2, 2)), [0, 2]), 2),
+         "labels exceed the declared number of classes"),
+        (lambda: heavy_tailed_logistic_dataset(10, 3, 2, 1.0, np.random.default_rng(0)),
+         "tail_k must exceed 1"),
+    ],
+    ids=["dataset-no-rows", "loss-one-class", "problem-one-class", "problem-label-over-m",
+         "heavy-tail-k-1"],
+)
+def test_bad_data_or_class_count_is_rejected(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def test_logistic_grad_hand_case():
     got = logistic_grad(np.zeros(4), np.array([1.0, 0.0]), 0)
     assert np.allclose(got, [-0.5, 0.0, 0.5, 0.0], atol=1e-15)

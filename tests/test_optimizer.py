@@ -456,6 +456,12 @@ def test_subgradient_descent_computes_one_full_gradient_per_step(T):
     assert calls == ["f"] + ["g", "f"] * T
 
 
+def test_reference_minimum_needs_a_step_size():
+    prob = geometric_median_problem(np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="^etas must be nonempty$"):
+        reference_minimum(prob, np.zeros(1), [], 5)
+
+
 def test_noiseless_convergence_with_min_lipschitz_clip():
     rng = np.random.default_rng(8)
     ds = planted_logistic_dataset(100, 5, 2, rng, 0.5, 2.0).with_bias()

@@ -36,6 +36,22 @@ def test_noise_spec_validation():
         NoiseSpec(1.0, 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda budget: compute_phi(0, 3, budget), "n and d must be >= 1"),
+        (lambda budget: compute_phi(10, 0, budget), "n and d must be >= 1"),
+        (lambda budget: noise_variance(0, 1.0, 10, budget), "T must be >= 1"),
+        (lambda budget: noise_variance(5, -1.0, 10, budget), "tau must be nonnegative"),
+        (lambda budget: noise_variance(5, 1.0, 0, budget), "n must be >= 1"),
+    ],
+    ids=["phi-n-0", "phi-d-0", "noise-T-0", "noise-tau-negative", "noise-n-0"],
+)
+def test_phi_and_noise_variance_reject_sizes_out_of_range(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(PrivacyBudget(2.0, 1e-5))
+
+
 def test_phi_hand_value():
     budget = PrivacyBudget(2.0, 1e-5)
     expected = math.sqrt(10 * math.log(1e5)) / 2000.0
