@@ -1,5 +1,6 @@
-"""Output pins: each DP-SGD command, rerun at the c13 acceptance argv, writes
-its CSV in ``tests/data/expected/`` to within ``csv_compare``'s tolerance.
+"""Output pins: each DP-SGD command, rerun at the c13 acceptance argv, and
+reduced c08 and c12 runs write their CSVs in ``tests/data/expected/`` to
+within ``csv_compare``'s tolerance.
 
 An output change shows as a diff to those files in the change that makes it.
 Re-record them, after a declared output change only, with
@@ -28,15 +29,30 @@ ARGV = {
                     "--n-list", "120,480", "--eta-grid", "0.1"],
     "lower-bound-demo": ["lower-bound-demo", *_SHARED, "--dim", "2", "--n", "150",
                          "--qv-p", "0.2", "--moment-k", "2"],
+    # c08's data and budget at a quarter of its rows; its p0 clips rows, so
+    # the logistic clipped sum takes the exact norms of the rows it clips
+    "sweep-clip-c08": ["sweep-clip", "--master-seed", "0", "--seeds", "0,1,2,3",
+                       "--synthetic", "planted", "--n", "500", "--dim", "20",
+                       "--classes", "3", "--norm-low", "0.4", "--norm-high", "8",
+                       "--append-bias", "--epsilon", "2", "--delta", "1e-5",
+                       "--iterations", "100", "--batch", "25", "--eta-grid", "0.1,0.3,1",
+                       "--clip-candidates", "p0,p100"],
+    # c12's data, schedule and budget at a quarter of its sizes
+    "phi-scaling-c12": ["phi-scaling", "--master-seed", "0", "--seeds", "0,1,2,3",
+                        "--synthetic", "heavy", "--dim", "4", "--classes", "2",
+                        "--tail-k", "2", "--moment-k", "2", "--gamma", "0.5",
+                        "--growth-c", "10", "--epsilon", "0.5", "--delta", "1e-5",
+                        "--iterations", "100", "--batch", "25",
+                        "--n-list", "125,500,2000", "--append-bias"],
 }
 
 
 @pytest.mark.filterwarnings("ignore::dpclip.privacy.PrivacyRegimeWarning")
-@pytest.mark.parametrize("command", list(ARGV))
-def test_command_output_matches_its_expected_csv(tmp_path, command):
-    out = tmp_path / f"{command}.csv"
-    assert main([*ARGV[command], "--out", str(out)]) == 0
-    assert csv_differences(EXPECTED / f"{command}.csv", out) == []
+@pytest.mark.parametrize("pin", list(ARGV))
+def test_command_output_matches_its_expected_csv(tmp_path, pin):
+    out = tmp_path / f"{pin}.csv"
+    assert main([*ARGV[pin], "--out", str(out)]) == 0
+    assert csv_differences(EXPECTED / f"{pin}.csv", out) == []
 
 
 def test_csv_differences_holds_floats_to_the_tolerance_and_the_rest_exactly(tmp_path):
@@ -61,5 +77,5 @@ def test_csv_differences_holds_floats_to_the_tolerance_and_the_rest_exactly(tmp_
 
 
 if __name__ == "__main__":
-    for command, argv in ARGV.items():
-        main([*argv, "--out", str(EXPECTED / f"{command}.csv")])
+    for pin, argv in ARGV.items():
+        main([*argv, "--out", str(EXPECTED / f"{pin}.csv")])
