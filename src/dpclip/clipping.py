@@ -33,12 +33,13 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def clip_rows(rows: np.ndarray, c: float | np.ndarray) -> np.ndarray:
-    """Rescale each row, a vector along the last axis, by its
-    :func:`clip_scales` factor to norm at most its threshold.
+    """Rescale each row, a vector along the last axis, by ``min(1, c /
+    norm)`` to norm at most its threshold.
 
     ``c`` broadcasts against ``rows.shape[:-1]``: one threshold for every
     row, one per row, or a (K, 1) column giving each block of a (K, B, dim)
-    stack its own.
+    stack its own. fmin takes 1.0 over an infinite c / norm and inf / inf =
+    NaN, so a zero, NaN or at-most-c norm, or c = inf, keeps the row's bits.
     """
     c = np.asarray(c, dtype=float)
     bad = ~(c > 0)
@@ -50,15 +51,9 @@ def clip_rows(rows: np.ndarray, c: float | np.ndarray) -> np.ndarray:
     except ValueError:
         shape = rows.shape[:-1]
         raise ValueError(f"need one clip threshold per row: {c.shape} for {shape}") from None
-    return rows * clip_scales(rows, c)[..., None]
-
-
-def clip_scales(rows: np.ndarray, c: float | np.ndarray) -> np.ndarray:
-    """Each row's clip scale ``min(1, c / norm)``, c broadcast unchecked against
-    ``rows.shape[:-1]``; fmin takes 1.0 over an infinite c / norm and inf / inf
-    = NaN, so a zero, NaN or at-most-c norm, or c = inf, keeps the row's bits."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.fmin(1.0, c / row_norms(rows))
+        scales = np.fmin(1.0, c / row_norms(rows))
+    return rows * scales[..., None]
 
 
 def clip(z: np.ndarray, c: float) -> np.ndarray:

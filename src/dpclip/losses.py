@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .clipping import clip_scales, row_norms
+from .clipping import row_norms
 
 
 def _integer_labels(labels) -> np.ndarray:
@@ -109,9 +109,14 @@ class Problem:
     A family may also supply ``clipped_sum(W, idx, taus)``: for a (K, dim)
     stack ``W`` and a (K,) vector of clip thresholds, the (K, dim) sums of
     each iterate's gradient rows over ``idx``, each row clipped to its
-    iterate's threshold. It must be bitwise ``clip_rows(grads_at(W,
-    idx).reshape(K, len(idx), dim), taus[:, None]).sum(axis=1)``, which is
-    what :func:`dpclip.optimizer.dp_sgd_step` computes without one.
+    iterate's threshold, each iterate's sum bitwise what it gives alone. It
+    stands in for ``clip_rows(grads_at(W, idx).reshape(K, len(idx), dim),
+    taus[:, None]).sum(axis=1)``, which is what
+    :func:`dpclip.optimizer.dp_sgd_step` computes without one, and may round
+    differently: each element within 1e-12 times the summed magnitudes of
+    the clipped rows there, and each row, clipped, of norm at most its
+    threshold times 1 + 1e-12. An iterate whose every row has norm below its
+    threshold by more than that factor must give that sum bit for bit.
     """
 
     n: int
@@ -224,6 +229,19 @@ def _class_sum(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(rows, 0, -1)).sum(axis=-1)
 
 
+def _column_norms(P: np.ndarray) -> np.ndarray:
+    """The (K, B) norms ||P[:, k, b]|| of a class-major (m, K, B) array, each
+    the same bits at any K and B. A column whose squares sum below 2**-900
+    may have lost digits to underflow, so it is recomputed by hypot, which
+    squares nothing."""
+    squares = _class_sum(P * P)
+    norms = np.sqrt(squares)
+    low = squares < 2.0**-900
+    if low.any():
+        norms[low] = np.hypot.reduce(P[:, low], axis=0)
+    return norms
+
+
 def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Problem:
     """Multinomial logistic ERM over the dataset's rows as stored.
 
@@ -232,16 +250,15 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
     per-sample infimum of the cross-entropy is 0.
 
     Its ``clipped_sum`` never forms the (K, B, m d) gradient block. A row's
-    gradient is the outer product (p - e_y) x, so ||p - e_y|| ||x|| bounds
-    its norm: a row whose bound is safely below its threshold keeps scale
-    1.0 without its norm being computed, and only the other rows are built.
-    It, ``batch_grad`` and ``batch_loss`` start from the same shifted logits
-    in m contiguous (K, B) class planes, so the softmax and the bound run
-    over planes rather than K B rows of m classes each. The sums come from
-    ``einsum("mkb,bd,kb->kmd")``, whose loop over the batch stays outer and
-    so adds the rows in order at any batch size; the faster form on a (d, B)
-    copy of the rows makes that loop the inner one, which numpy's iterator
-    buffer splits past 8192 rows, and so rounds differently there.
+    gradient is the rank-one (p - e_y) x, whose norm is ||p - e_y|| ||x||, so
+    an iterate's clipped sum is one (m, B) by (B, d) gemm (ghost clipping).
+    An iterate none of whose rows is clipped instead adds its rows in order
+    with ``einsum("mkb,bd,kb->kmd")`` and unit scales, bitwise ``grads_at``'s
+    rows added in order, so an unclipped full-batch run keeps the bits of
+    plain gradient descent. It, ``batch_grad`` and ``batch_loss`` start from
+    the same shifted logits in m contiguous (K, B) class planes, so the
+    softmax and ||p - e_y|| run over planes rather than K B rows of m
+    classes each.
     """
     X = dataset.features
     y = dataset.labels
@@ -299,29 +316,33 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
         K, B = P.shape[1:]
         return np.einsum("mkb,bd->kbmd", P, Xb).reshape(K * B, m * d)
 
-    # The norm row_norms gives a row and the bound ||P[:, k, b]|| ||x_b|| agree
-    # to within (m d + 8) eps / 2 while no square underflows, since both add
-    # only nonnegative squares, rescaled by a largest entry past 1.3e154. So a
-    # bound below tau / margin proves that the row's norm is at most tau and
-    # its scale exactly 1.0. Rows whose bound or ||P[:, k, b]|| is below
-    # 1e-100, where underflowed squares could hide a part of either norm,
-    # take the exact norm, as NaN rows do.
-    margin = 1.0 + max(1e-12, (m * d + 4) * np.finfo(float).eps)
+    def summed_in_order(P: np.ndarray, Xb: np.ndarray) -> np.ndarray:
+        # each iterate's rows P[:, k, b] x_b added in order, bitwise grads_at's
+        # rows so added: no optimize=, and unit scales, since the two-operand
+        # form rounds differently at d = 1, and a (d, B) Xb differently past
+        # numpy's 8192-element buffer
+        return np.einsum("mkb,bd,kb->kmd", P, Xb, np.ones(P.shape[1:]))
 
     def clipped_sum(W: np.ndarray, idx: np.ndarray, taus: np.ndarray) -> np.ndarray:
         Xb, P = coefficients(W, idx)
-        c_norm = np.sqrt(np.einsum("mkb,mkb->kb", P, P))
-        ghost = c_norm * x_norms[idx]
-        scale = np.ones(ghost.shape)
-        exact = ~((ghost * margin < taus[:, None]) & (np.minimum(c_norm, ghost) >= 1e-100))
-        if exact.any():
-            k, b = np.nonzero(exact)
-            rows = np.einsum("mr,rd->rmd", P[:, k, b], Xb[b]).reshape(k.size, m * d)
-            scale[k, b] = clip_scales(rows, taus[k])
-        # no optimize=: einsum forms fl(fl(p x) s) and adds over b in order,
-        # as clip_rows(...).sum(axis=1) does, with no (K, B, m d) block; not
-        # on a (d, B) Xb, which rounds differently past 8192 rows
-        return np.einsum("mkb,bd,kb->kmd", P, Xb, scale).reshape(len(W), m * d)
+        K, B = P.shape[1:]
+        xn = x_norms[idx]
+        c_norm = _column_norms(P)
+        # c_norm <= sqrt(2), and sqrt(2) ||x_b|| is a finite Lipschitz constant
+        clips = (c_norm * xn > taus[:, None]).any(axis=1)
+        if not clips.any():
+            return summed_in_order(P, Xb).reshape(K, m * d)
+        # row (k, b) clipped is (a P[:, k, b]) u_b with u_b = x_b / ||x_b||, 0
+        # for a zero row, and a = min(||x_b||, tau_k / ||P[:, k, b]||): neither
+        # factor underflows where the row does not, as P s would for
+        # s = tau / ||row||. One gemm per iterate, each the call it makes alone
+        with np.errstate(divide="ignore", over="ignore"):
+            a = np.fmin(xn, taus[:, None] / c_norm)
+        U = np.divide(Xb.T, xn, out=np.zeros((d, B)), where=xn > 0)
+        out = np.matmul((P * a).transpose(1, 0, 2), U.T)
+        if not clips.all():
+            out[~clips] = summed_in_order(P[:, ~clips], Xb)
+        return out.reshape(K, m * d)
 
     return Problem(
         n=n,

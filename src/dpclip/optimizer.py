@@ -150,7 +150,9 @@ def dp_sgd_step(
     supplies one (logistic regression does). Otherwise one ``grads_at`` call
     gives every iterate's gradient rows, and one ``clip_rows`` call clips
     their (K, B, dim) block against the (K, 1) column of the configs'
-    thresholds; the two paths agree bit for bit.
+    thresholds. The two paths agree to the rounding that ``Problem`` allows a
+    ``clipped_sum``, and bit for bit on an iterate whose every row is below
+    its threshold by more than that rounding.
 
     An empty Poisson batch has ``(0, dim)`` gradients whose clipped sum is the
     zero vector, so it contributes noise only. With sigma_sq = 0 no noise is

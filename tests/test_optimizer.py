@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from csv_compare import array_differences
 from dpclip.clipping import clip_rows, row_norms
 from dpclip.losses import (
     Dataset,
@@ -286,7 +287,10 @@ def _one_run(prob, config):
     w = config.w0.copy()
     for _ in range(t_hat):
         batch = np.flatnonzero(rng.random(prob.n) < config.b / prob.n)
-        g = clip_rows(prob.grads_at(w, batch), config.tau).sum(axis=0) / config.b
+        if prob.clipped_sum is not None:
+            g = prob.clipped_sum(w[None], batch, np.array([config.tau]))[0] / config.b
+        else:
+            g = clip_rows(prob.grads_at(w, batch), config.tau).sum(axis=0) / config.b
         if config.sigma_sq > 0:
             g = g + rng.normal(0.0, math.sqrt(config.sigma_sq), size=prob.dim)
         w = w - config.eta * g
@@ -532,17 +536,29 @@ def test_second_moment_bound():
 # The logistic clipped sum against the generic clip-then-sum path
 # ---------------------------------------------------------------------------
 
-
-def _generic_clipped_sum(prob, W, idx, taus):
-    grads = prob.grads_at(W, idx).reshape(len(W), len(idx), prob.dim)
-    return clip_rows(grads, taus[:, None]).sum(axis=1)
+TINY = np.finfo(float).tiny  # differences below the normal range are forgiven
 
 
-def _assert_clipped_sum_bitwise(prob, W, idx, taus):
+def _assert_clipped_sum_agrees(prob, W, idx, taus, alone=()):
+    """``clipped_sum`` against ``clip_rows`` on the formed rows. An iterate
+    whose rows all have norm below its threshold by more than 1 + 1e-12 gets
+    their sum bit for bit; every iterate gets it within 1e-12 of the summed
+    magnitudes of its clipped rows, elementwise. Each batch position in
+    ``alone``, summed by itself, has norm at most tau (1 + 1e-12). Returns
+    the numbers of iterates held bitwise and of iterates that clip a row."""
+    K = len(W)
     fused = prob.clipped_sum(W, idx, taus)
-    generic = _generic_clipped_sum(prob, W, idx, taus)
-    assert fused.shape == generic.shape == (len(W), prob.dim)
-    assert np.array_equal(fused.view(np.int64), generic.view(np.int64))
+    grads = prob.grads_at(W, idx).reshape(K, len(idx), prob.dim)
+    rows = clip_rows(grads, taus[:, None])
+    generic = rows.sum(axis=1)
+    assert fused.shape == generic.shape == (K, prob.dim)
+    norms = row_norms(grads)
+    below = (norms * (1 + 1e-12) < taus[:, None]).all(axis=1)
+    assert np.array_equal(fused[below].view(np.int64), generic[below].view(np.int64))
+    assert array_differences(generic, fused, np.abs(rows).sum(axis=1), abs_tol=TINY) == []
+    for b in alone:
+        assert np.all(row_norms(prob.clipped_sum(W, idx[b : b + 1], taus)) <= taus * (1 + 1e-12))
+    return int(below.sum()), int((norms > taus[:, None]).any(axis=1).sum())
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 9])
@@ -550,10 +566,11 @@ def test_clipped_sum_is_bitwise_the_generic_path(m):
     # every shape of the grid and every kind of threshold: none, all, some or
     # one row clipped, and a threshold at or one ulp below a row's norm. A
     # zero feature column (every row of it when d = 1) gives -0.0 products,
-    # and rows scaled by 1e150-1e300 have norms that row_norms rescales
+    # and rows scaled by 1e150-1e300 have norms that row_norms rescales.
+    # Iterates that clip nothing are held bitwise, the others to tolerance
     rng = np.random.default_rng(100 + m)
     n = 600
-    cases = 0
+    cases, bitwise, clipped = 0, 0, 0
     for d in (1, 2, 21, 63):
         ds = planted_logistic_dataset(n, d, m, rng, 0.05, 50.0)
         X = ds.features.copy()
@@ -570,18 +587,22 @@ def test_clipped_sum_is_bitwise_the_generic_path(m):
                 if norms.any():
                     N = rng.choice(norms[norms > 0])
                     thresholds += [N, np.nextafter(N, 0)]
-                for tau in thresholds:
-                    _assert_clipped_sum_bitwise(prob, W, idx, np.full(K, tau))
-                _assert_clipped_sum_bitwise(prob, W, idx, rng.choice(thresholds, size=K))
-                cases += len(thresholds) + 1
-    assert cases > 350
+                alone = [*rng.choice(B, min(B, 2), replace=False), *np.argmax(
+                    norms.reshape(K, B), axis=1)[:1]] if B else []
+                for taus in [np.full(K, tau) for tau in thresholds] + [
+                    rng.choice(thresholds, size=K)
+                ]:
+                    held, clips = _assert_clipped_sum_agrees(prob, W, idx, taus, alone)
+                    bitwise, clipped, cases = bitwise + held, clipped + clips, cases + 1
+    assert cases > 350 and bitwise > 500 and clipped > 500
 
 
 def test_clipped_sum_at_a_threshold_one_ulp_below_a_norm_the_bound_misses():
-    # the rank-one bound ||p - e_y|| ||x|| is computed with its own rounding,
+    # the rank-one norm ||p - e_y|| ||x|| is computed with its own rounding,
     # so on some rows it lands below the computed norm N. A threshold of
-    # nextafter(N, 0) there clips the row; the bound alone would have left it
-    # at scale 1.0. The bias coordinate 1.0 exposes p - e_y exactly
+    # nextafter(N, 0) there clips the formed row, and the fused sum may keep
+    # the row whole: its norm N is within tau (1 + 1e-12), and the sums agree
+    # to the tolerance. The bias coordinate 1.0 exposes p - e_y exactly
     rng = np.random.default_rng(7)
     ds = planted_logistic_dataset(300, 20, 3, rng, 0.5, 20.0).with_bias()
     prob = logistic_problem(ds, 3)
@@ -602,34 +623,42 @@ def test_clipped_sum_at_a_threshold_one_ulp_below_a_norm_the_bound_misses():
         k, b = below[rng.integers(len(below))]
         taus = rng.choice([prob.lipschitz.min(), math.inf], size=K)
         taus[k] = np.nextafter(N[k, b], 0)
-        _assert_clipped_sum_bitwise(prob, W, idx, taus)
+        _assert_clipped_sum_agrees(prob, W, idx, taus, alone=[b])
     assert missed > 30
 
 
 def test_clipped_sum_when_squares_of_the_bound_underflow():
-    # x = 2**500 and a logit gap near 368 give p - e_y = (0, ~1e-160), whose
-    # square is subnormal, so the bound's norm of p - e_y has lost digits
-    # while the row (0, ~1e-160 * x) has not; such rows take the exact norm
+    # x = 2**500 and a logit gap of 360-400 give p - e_y = (0, ~4e-157) to
+    # (0, ~2e-174), whose squares are subnormal or 0, while the row
+    # (0, ~1e-160 * x) is not small. ||p - e_y|| must keep every digit, or
+    # such a row would be clipped to the wrong norm, or not clipped at all
     x = 2.0**500
     prob = logistic_problem(Dataset(np.full((3, 1), x), np.zeros(3, dtype=int)), 2)
-    gaps = np.linspace(360.0, 380.0, 400)
+    gaps = np.linspace(360.0, 400.0, 400)
     W = np.column_stack([gaps / x, np.zeros_like(gaps)])
     idx = np.array([1])
     grads = prob.grads_at(W, idx)
     N = row_norms(grads)
     c = grads / x  # exact: a power of two
-    ghost = np.sqrt(np.sum(c * c, axis=1)) * x
-    taus = np.nextafter(N, 0)
-    assert np.count_nonzero(ghost * (1 + 1e-6) < taus) > 100
-    _assert_clipped_sum_bitwise(prob, W, idx, taus)
+    squares = np.sum(c * c, axis=1)
+    assert np.count_nonzero(squares < TINY) > 300 and np.count_nonzero(squares == 0.0) > 100
+    for taus in (np.nextafter(N, 0), N / 2):
+        _assert_clipped_sum_agrees(prob, W, idx, taus, alone=[0])
+    # in a stack whose first iterate clips, tau / ||p - e_y|| overflows to inf
+    # past a gap of about 687 and divides by zero past 745, with no warning
+    far = np.column_stack([np.linspace(360.0, 760.0, 50) / x, np.zeros(50)])
+    taus = np.full(50, 1e10)
+    taus[0] = row_norms(prob.grads_at(far[:1], idx))[0] / 2
+    assert _assert_clipped_sum_agrees(prob, far, idx, taus, alone=[0]) == (49, 1)
 
 
 @pytest.mark.parametrize("K", [1, 3])
 @pytest.mark.parametrize("B", [8191, 8192, 8193, 9000, 20000])
 def test_clipped_sum_is_bitwise_the_generic_path_past_the_iterator_buffer(B, K):
-    # numpy's iterator buffers 8192 elements; the class-major sum keeps its
-    # reduction over the batch an outer loop, so batches on either side of
-    # that size still add their rows in order, as the generic sum does
+    # numpy's iterator buffers 8192 elements; the in-order sum of an iterate
+    # that clips nothing keeps its reduction over the batch an outer loop, so
+    # batches on either side of that size still add their rows in order, as
+    # the generic sum does. Iterates that clip agree to tolerance
     rng = np.random.default_rng(B + K)
     ds = planted_logistic_dataset(20000, 3, 3, rng, 0.05, 50.0).with_bias()
     prob = logistic_problem(ds, 3)
@@ -637,11 +666,47 @@ def test_clipped_sum_is_bitwise_the_generic_path_past_the_iterator_buffer(B, K):
     W = rng.normal(size=(K, prob.dim)) * rng.choice([0.05, 0.5, 3.0], size=(K, 1))
     taus = rng.choice([prob.lipschitz.min(), float(np.median(prob.lipschitz)), math.inf], size=K)
     taus[0] = prob.lipschitz.min()
-    _assert_clipped_sum_bitwise(prob, W, idx, taus)
+    assert _assert_clipped_sum_agrees(prob, W, idx, taus, alone=[0, B - 1])[1] >= 1
+    assert _assert_clipped_sum_agrees(prob, W, idx, np.full(K, math.inf)) == (K, 0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 9])
+def test_clipped_sum_of_a_mixed_stack_is_each_iterate_alone(m):
+    # a stack whose iterates clip takes one gemm each and one whose iterates
+    # clip nothing the in-order sum; a stack that mixes them must still give
+    # each iterate exactly its sum alone, and each unclipped one exactly its
+    # gradient rows summed in order, at every batch size. At d = 1 grads_at
+    # returns its rows class-major, which numpy sums pairwise, so they are
+    # summed from a row-major copy
+    rng = np.random.default_rng(200 + m)
+    mixed = 0
+    for d, n, sizes in ((1, 400, (1, 2, 100, 400)), (2, 9000, (8193, 9000)), (21, 400, (3, 250))):
+        prob = logistic_problem(planted_logistic_dataset(n, d, m, rng, 0.05, 50.0), m)
+        G_min, G_max = float(prob.lipschitz.min()), float(prob.lipschitz.max())
+        for B in sizes:
+            idx = np.sort(rng.choice(n, B, replace=False))
+            for K in (2, 5, 10):
+                W = rng.normal(size=(K, prob.dim)) * rng.choice([0.01, 0.3, 3.0], size=(K, 1))
+                taus = rng.permutation([G_min / 4, math.inf, *rng.choice(
+                    [G_min / 4, G_min, 2 * G_max, math.inf], size=K - 2)])
+                stacked = prob.clipped_sum(W, idx, taus)
+                norms = row_norms(prob.grads_at(W, idx)).reshape(K, B)
+                clips = (norms > taus[:, None]).any(axis=1)
+                mixed += clips.any() and not clips.all()
+                for k in range(K):
+                    alone = prob.clipped_sum(W[k : k + 1], idx, taus[k : k + 1])[0]
+                    assert np.array_equal(stacked[k].view(np.int64), alone.view(np.int64))
+                    if taus[k] > G_max:
+                        rows = np.ascontiguousarray(prob.grads_at(W[k], idx)).sum(axis=0)
+                        assert np.array_equal(stacked[k].view(np.int64), rows.view(np.int64))
+    assert mixed > 20
 
 
 @pytest.mark.parametrize("sigma_sq", [0.0, 0.7])
 def test_run_iterates_with_clipped_sum_are_bitwise_those_without(sigma_sq):
+    # a config whose threshold no row reaches runs bit for bit as on the
+    # formed rows; one that clips agrees with it to within 1e-12 of the
+    # iterate's largest entry after 60 steps
     rng = np.random.default_rng(17)
     ds = planted_logistic_dataset(400, 8, 3, rng, 0.2, 30.0).with_bias()
     prob = logistic_problem(ds, 3)
@@ -655,8 +720,15 @@ def test_run_iterates_with_clipped_sum_are_bitwise_those_without(sigma_sq):
         for eta in (0.1, 1.0)
         for tau in taus
     ]
-    for w, w_generic in zip(run_dp_sgd(prob, configs), run_dp_sgd(generic, configs)):
-        assert np.array_equal(w.view(np.int64), w_generic.view(np.int64))
+    moved = 0
+    for c, w, w_generic in zip(configs, run_dp_sgd(prob, configs), run_dp_sgd(generic, configs)):
+        if c.tau >= prob.lipschitz.max():
+            assert np.array_equal(w.view(np.int64), w_generic.view(np.int64))
+        else:
+            scale = np.abs(w_generic).max()
+            assert array_differences(w_generic, w, scale, abs_tol=TINY) == []
+            moved += not np.array_equal(w, c.w0)
+    assert moved == len(configs) // 2
 
 
 # ---------------------------------------------------------------------------

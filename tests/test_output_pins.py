@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from csv_compare import csv_differences
+import numpy as np
+
+from csv_compare import array_differences, csv_differences
 from dpclip.harness.cli import main
 
 EXPECTED = Path(__file__).parent / "data" / "expected"
@@ -30,7 +32,7 @@ ARGV = {
     "lower-bound-demo": ["lower-bound-demo", *_SHARED, "--dim", "2", "--n", "150",
                          "--qv-p", "0.2", "--moment-k", "2"],
     # c08's data and budget at a quarter of its rows; its p0 clips rows, so
-    # the logistic clipped sum takes the exact norms of the rows it clips
+    # the logistic clipped sum runs its rank-one gemm
     "sweep-clip-c08": ["sweep-clip", "--master-seed", "0", "--seeds", "0,1,2,3",
                        "--synthetic", "planted", "--n", "500", "--dim", "20",
                        "--classes", "3", "--norm-low", "0.4", "--norm-high", "8",
@@ -74,6 +76,24 @@ def test_csv_differences_holds_floats_to_the_tolerance_and_the_rest_exactly(tmp_
         "row 1 mean_metric: 0.0 != nan",
     ]
     assert differences("1.5,percentile,0.3") == ["row 1 has 3 fields, not 4"]
+
+
+def test_array_differences_holds_each_element_to_its_scale():
+    # the CSV rule on arrays: by default relative to the larger magnitude,
+    # or to a given scale, such as the magnitudes a sum adds before it cancels
+    expected = np.array([[1.5, -2.0], [0.0, np.nan]])
+    assert array_differences(expected, expected + [[1e-15, 0.0], [1e-16, 0.0]]) == []
+    assert array_differences(expected, expected + [[1e-9, 0.0], [0.0, 0.0]]) == [
+        "[0, 0]: 1.500000001 != 1.5"
+    ]
+    cancelled = np.array([1e-10])
+    assert array_differences(cancelled, cancelled + 1e-14) == ["[0]: 1.0001e-10 != 1e-10"]
+    assert array_differences(cancelled, cancelled + 1e-14, scale=[1e3]) == []
+    assert array_differences([1e-300], [0.0], abs_tol=1e-308) == ["[0]: 0.0 != 1e-300"]
+    assert array_differences([1e-300], [0.0], abs_tol=1e-299) == []
+    assert array_differences([np.inf, np.nan], [np.inf, np.nan]) == []
+    assert array_differences([np.inf], [1e308]) == ["[0]: 1e+308 != inf"]
+    assert array_differences(np.zeros(2), np.zeros(3)) == ["shape (3,) != (2,)"]
 
 
 if __name__ == "__main__":
