@@ -242,6 +242,21 @@ def _column_norms(P: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _summed_in_order(P: np.ndarray, Xb: np.ndarray) -> np.ndarray:
+    """The (K, m, d) sums over b of the rows P[:, k, b] x_b of a class-major
+    (m, K, B) array and C-contiguous (B, d) rows, each added in batch order,
+    bitwise ``grads_at``'s rows so added.
+
+    No ``optimize=``. From d = 2 on, the two-operand einsum: x_b's d-stride is
+    below its b-stride, so numpy's iterator keeps d innermost and adds each
+    output element's rows in order, at every batch size. At d = 1 its inner
+    loop would be the batch reduction, which numpy's SIMD dot sums in lanes,
+    so there a third operand of unit scales keeps the batch an outer loop."""
+    if Xb.shape[1] == 1:
+        return np.einsum("mkb,bd,kb->kmd", P, Xb, np.ones(P.shape[1:]))
+    return np.einsum("mkb,bd->kmd", P, Xb)
+
+
 def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Problem:
     """Multinomial logistic ERM over the dataset's rows as stored.
 
@@ -251,14 +266,16 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
 
     Its ``clipped_sum`` never forms the (K, B, m d) gradient block. A row's
     gradient is the rank-one (p - e_y) x, whose norm is ||p - e_y|| ||x||, so
-    an iterate's clipped sum is one (m, B) by (B, d) gemm (ghost clipping).
-    An iterate none of whose rows is clipped instead adds its rows in order
-    with ``einsum("mkb,bd,kb->kmd")`` and unit scales, bitwise ``grads_at``'s
-    rows added in order, so an unclipped full-batch run keeps the bits of
-    plain gradient descent. It, ``batch_grad`` and ``batch_loss`` start from
-    the same shifted logits in m contiguous (K, B) class planes, so the
-    softmax and ||p - e_y|| run over planes rather than K B rows of m
-    classes each.
+    the clipped sum of an iterate that clips a row is one (m, B) by (B, d)
+    gemm (ghost clipping), and only those iterates take it. An iterate none
+    of whose rows is clipped instead adds its rows in batch order by
+    ``_summed_in_order``: ``einsum("mkb,bd->kmd")`` from d = 2 on, and at
+    d = 1, where that form sums the batch in SIMD lanes, a third operand of
+    unit scales. Either is bitwise ``grads_at``'s rows added in order, so an
+    unclipped full-batch run keeps the bits of plain gradient descent. It,
+    ``batch_grad`` and ``batch_loss`` start from the same shifted logits in
+    m contiguous (K, B) class planes, so the softmax and ||p - e_y|| run
+    over planes rather than K B rows of m classes each.
     """
     X = dataset.features
     y = dataset.labels
@@ -286,13 +303,13 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
     def shifted_logits(W: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (B, d) rows X[idx] and the class-major (m, K, B) logits of the
         (K, m d) stack ``W``, each row shifted by its largest logit."""
-        Xb = X[idx]
+        Xb = X.take(idx, axis=0)  # X[idx]'s copy, gathered faster
         K = len(W)
         # one gemm per iterate, each the call a single iterate makes (W @ Xb.T
         # would round differently), copied once into m contiguous (K, B)
         # class planes. The class max and sum then run plane by plane, in the
         # order of a row-wise max and sum
-        Z = np.ascontiguousarray(np.moveaxis(Xb @ W.reshape(K, m, d).transpose(0, 2, 1), 2, 0))
+        Z = np.ascontiguousarray((Xb @ W.reshape(K, m, d).transpose(0, 2, 1)).transpose(2, 0, 1))
         Z -= Z.max(axis=0)
         return Xb, Z
 
@@ -316,13 +333,6 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
         K, B = P.shape[1:]
         return np.einsum("mkb,bd->kbmd", P, Xb).reshape(K * B, m * d)
 
-    def summed_in_order(P: np.ndarray, Xb: np.ndarray) -> np.ndarray:
-        # each iterate's rows P[:, k, b] x_b added in order, bitwise grads_at's
-        # rows so added: no optimize=, and unit scales, since the two-operand
-        # form rounds differently at d = 1, and a (d, B) Xb differently past
-        # numpy's 8192-element buffer
-        return np.einsum("mkb,bd,kb->kmd", P, Xb, np.ones(P.shape[1:]))
-
     def clipped_sum(W: np.ndarray, idx: np.ndarray, taus: np.ndarray) -> np.ndarray:
         Xb, P = coefficients(W, idx)
         K, B = P.shape[1:]
@@ -331,17 +341,21 @@ def logistic_problem(dataset: Dataset, num_classes: int | None = None) -> Proble
         # c_norm <= sqrt(2), and sqrt(2) ||x_b|| is a finite Lipschitz constant
         clips = (c_norm * xn > taus[:, None]).any(axis=1)
         if not clips.any():
-            return summed_in_order(P, Xb).reshape(K, m * d)
+            return _summed_in_order(P, Xb).reshape(K, m * d)
+        out = np.empty((K, m, d))
+        if not clips.all():
+            out[~clips] = _summed_in_order(P[:, ~clips], Xb)
         # row (k, b) clipped is (a P[:, k, b]) u_b with u_b = x_b / ||x_b||, 0
         # for a zero row, and a = min(||x_b||, tau_k / ||P[:, k, b]||): neither
         # factor underflows where the row does not, as P s would for
-        # s = tau / ||row||. One gemm per iterate, each the call it makes alone
+        # s = tau / ||row||. One gemm per clipping iterate, each the call it
+        # makes alone
         with np.errstate(divide="ignore", over="ignore"):
-            a = np.fmin(xn, taus[:, None] / c_norm)
+            a = np.fmin(xn, taus[clips, None] / c_norm[clips])
         U = np.divide(Xb.T, xn, out=np.zeros((d, B)), where=xn > 0)
-        out = np.matmul((P * a).transpose(1, 0, 2), U.T)
-        if not clips.all():
-            out[~clips] = summed_in_order(P[:, ~clips], Xb)
+        Pa = P.compress(clips, axis=1)
+        Pa *= a
+        out[clips] = np.matmul(Pa.transpose(1, 0, 2), U.T)
         return out.reshape(K, m * d)
 
     return Problem(

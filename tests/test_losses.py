@@ -685,6 +685,60 @@ def test_stacked_grads_are_each_iterates_rows_bitwise():
         assert prob.grads_at(W, []).shape == (0, prob.dim)
 
 
+def _rows_added_in_order(P, Xb):
+    """The (K, m, d) sums of the rows P[:, k, b] x_b, added in batch order:
+    numpy sums the outer axis of a C-contiguous block row after row, so each
+    block of rows is summed behind the total of the blocks before it."""
+    m, K, B = P.shape
+    d = Xb.shape[1]
+    step = max(1, 2**17 // (K * m * d))
+    block = np.empty((1 + min(step, B), K, m, d))
+    for start in range(0, B, step):
+        rows = Xb[start : start + step]
+        np.multiply(P.transpose(2, 1, 0)[start : start + step, :, :, None], rows[:, None, None],
+                    out=block[1 : 1 + len(rows)])
+        if start:
+            block[0] = total
+        total = block[(0 if start else 1) : 1 + len(rows)].sum(axis=0)
+    return total
+
+
+def test_summed_in_order_adds_each_iterates_rows_in_batch_order():
+    # the rule the logistic in-order sum rests on: from d = 2 on, numpy's
+    # iterator keeps einsum("mkb,bd->kmd")'s d axis innermost, so each output
+    # element adds its rows in batch order, past the iterator's 8192-element
+    # buffer too, and with P class-major or iterate-major (as P[:, mask]
+    # leaves it). A zero feature column makes -0.0 products, whose sign the
+    # bytes keep. K = 10 stops at B = 100 to keep the test fast
+    rng = np.random.default_rng(40)
+    pool = rng.normal(size=64 * 8193 * 2)
+    two_operand_misses = 0
+    for d in (1, 2, 3, 21, 63):
+        for m in (2, 3, 9):
+            for B, Ks in ((1, (1, 2, 10)), (2, (1, 2, 10)), (7, (1, 2, 10)), (100, (1, 2, 10)),
+                          (8193, (1, 2))):
+                for K in Ks:
+                    x_at, p_at = rng.integers(0, 64 * 8193, size=2)
+                    Xb = pool[x_at : x_at + B * d].reshape(B, d).copy()
+                    if d > 1:
+                        Xb[:, 1] = 0.0
+                    wide = pool[p_at : p_at + m * 2 * K * B].reshape(m, 2 * K, B)
+                    want = _rows_added_in_order(wide[:, :K], Xb)
+                    for P in (np.ascontiguousarray(wide[:, :K]), wide[:, np.arange(2 * K) < K]):
+                        got = losses._summed_in_order(P, Xb)
+                        assert _same_bits(got, want), (
+                            f"_summed_in_order no longer adds rows in batch order at d={d}, "
+                            f"m={m}, K={K}, B={B}: from d = 2 on it rests on numpy's iterator "
+                            "keeping einsum('mkb,bd->kmd')'s d axis innermost, at d = 1 on a "
+                            "third operand of unit scales")
+                    if d == 1:
+                        two_operand = np.einsum("mkb,bd->kmd", P, Xb)
+                        two_operand_misses += not _same_bits(two_operand, want)
+    # at d = 1 the two-operand form sums the batch in SIMD lanes, which is why
+    # _summed_in_order keeps the three-operand form there
+    assert two_operand_misses >= 1
+
+
 # ---------------------------------------------------------------------------
 # Geometric median
 # ---------------------------------------------------------------------------
