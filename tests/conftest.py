@@ -1,6 +1,11 @@
 """Fixtures shared by every test module."""
 
+import os
+from pathlib import Path
+
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -11,3 +16,11 @@ def private_cache_home(tmp_path, monkeypatch):
     home = tmp_path / "xdg-cache"
     monkeypatch.setenv("XDG_CACHE_HOME", str(home))
     return home
+
+
+@pytest.fixture
+def src_env():
+    """The environment of a subprocess that imports this checkout's dpclip:
+    this one's, with ``src/`` first on ``PYTHONPATH``."""
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    return dict(os.environ, PYTHONPATH=path)

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,31 +82,6 @@ def test_dataset_rejects_non_finite_features():
             Dataset(features, np.zeros(4, dtype=int))
 
 
-def test_csv_loader_roundtrip(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text("a,b,label\n1.5,-2.0,1\n0.0,3.25,0\n", encoding="utf-8")
-    ds = load_dataset_csv(path)
-    assert ds.n == 2 and ds.dim == 2 and not ds.bias_appended
-    assert np.allclose(ds.features, [[1.5, -2.0], [0.0, 3.25]])
-    assert np.array_equal(ds.labels, [1, 0])
-    biased = load_dataset_csv(path, append_bias=True)
-    assert biased.dim == 3 and biased.bias_appended
-    headerless = tmp_path / "plain.csv"
-    headerless.write_text("1.0,2.0,0\n", encoding="utf-8")
-    assert load_dataset_csv(headerless).n == 1
-
-
-def test_csv_loader_errors(tmp_path):
-    bad_label = tmp_path / "bad.csv"
-    bad_label.write_text("1.0,2.0,0.5\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_dataset_csv(bad_label)
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("1.0,2.0,0\n1.0,1\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_dataset_csv(ragged)
-
-
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -121,9 +95,12 @@ def test_csv_loader_errors(tmp_path):
         ("1.0,2.0,0\n1.0,2.0,0.5\n", "non-integral label in row 1$"),
         ("1.0,2.0,0\n1.0,2.0,nan\n", "non-integral label in row 1$"),
         ("1.0,2.0,0\n1.0,2.0,1e300\n", "non-integral label in row 1$"),
+        ("1.0,2.0,0.5\n", "non-integral label in row 0$"),
+        ("1.0,2.0,0\n1.0,1\n", "the number of columns changed from 3 to 2 at row 2"),
     ],
     ids=["empty", "header-only", "one-field", "ragged", "non-numeric", "hash-not-a-comment",
-         "non-integer-label", "nan-label", "huge-label"],
+         "non-integer-label", "nan-label", "huge-label", "lone-non-integer-label",
+         "ragged-headerless"],
 )
 def test_csv_loader_error_messages(tmp_path, text, message):
     path = tmp_path / "data.csv"
@@ -179,6 +156,8 @@ def _csv_texts():
         "spaces": "\n".join(f" {line} " for line in lines(reprs[:6], " , ")),
         "quoted": "\n".join(f'"{line}"' for line in lines(g9[:6], '","')) + "\n",
         "one-row": ",".join(reprs[1]),
+        "short-header": "a,b,label\n1.5,-2.0,1\n0.0,3.25,0\n",
+        "one-line": "1.0,2.0,0\n",
     }
 
 
@@ -363,16 +342,12 @@ def test_csv_cache_unwritable_just_parses(tmp_path, monkeypatch, private_cache_h
     assert _cache_entries(private_cache_home) == []  # no entry, no temporary file
 
 
-def test_csv_loader_module_loads_only_with_a_csv():
+def test_csv_loader_module_loads_only_with_a_csv(src_env):
     # without bytecode files every CLI run compiles what it imports: a run
     # that reads no CSV compiles neither the loader nor its cache, and does
     # not load hashlib for it
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
-    ))
     code = "import sys, dpclip.harness.cli; print('dpclip._dataset_csv' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True,
                           text=True, timeout=60)
     assert proc.stdout.split() == ["False"], proc.stderr
 

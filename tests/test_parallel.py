@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,15 +177,10 @@ def test_sweep_csv_bytes_are_the_same_on_one_and_two_cpus(monkeypatch, tmp_path)
     assert one.read_bytes() == two.read_bytes()
 
 
-def test_cli_on_a_pipe_prints_its_line_once_when_it_forks(tmp_path):
+def test_cli_on_a_pipe_prints_its_line_once_when_it_forks(tmp_path, src_env):
     # children leave through os._exit, so none of them goes on to print or
     # flushes the line still buffered in the caller's stdout when it forked
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
-    env.pop("PYTHONUNBUFFERED", None)  # stdout on a pipe is then block-buffered
+    src_env.pop("PYTHONUNBUFFERED", None)  # stdout on a pipe is then block-buffered
     code = (
         "import os, sys\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -196,7 +190,7 @@ def test_cli_on_a_pipe_prints_its_line_once_when_it_forks(tmp_path):
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, *_SWEEP, "--out", str(tmp_path / "x.csv")],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+        env=src_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
